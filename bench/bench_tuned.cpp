@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchRecord> records;
   for (const auto& s : shapes) {
     tune::TuneKey key{s.n, s.ranks, s.acc};
-    tune::Candidate dflt{s.acc, 1, net::AlltoallAlgo::kPairwise, false};
+    tune::Candidate dflt{s.acc, 1, net::AlltoallAlgo::kPairwise, false, 0, 1,
+                         {}, {}, {}, {}};
     // Stamp the default with the same backends autotune() stamps on its
     // candidates: tuned <= default only holds when both sides are priced
     // on one (transport, engine) pair.

@@ -3,7 +3,7 @@
 # and a tuning-pipeline smoke run.
 #
 #   scripts/ci.sh             # everything
-#   scripts/ci.sh tier1       # just the standard build + full ctest
+#   scripts/ci.sh tier1       # just the -Werror standard build + full ctest
 #   scripts/ci.sh asan        # just the ASan build + core suites
 #   scripts/ci.sh tsan        # ThreadSanitizer build + SimMPI dist/pipeline
 #   scripts/ci.sh chaos       # fault-injection suites under ASan + TSan
@@ -23,8 +23,8 @@ stage="${1:-all}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 run_tier1() {
-  echo "=== tier-1: standard build + full test suite ==="
-  cmake -B build-ci/tier1 -S . >/dev/null
+  echo "=== tier-1: warning-free standard build + full test suite ==="
+  cmake -B build-ci/tier1 -S . -DSOIFFT_WERROR=ON >/dev/null
   cmake --build build-ci/tier1 -j "${jobs}"
   (cd build-ci/tier1 && ctest --output-on-failure -j "${jobs}")
 }
@@ -68,7 +68,8 @@ run_tsan() {
   (cd build-ci/tsan &&
     ./tests/test_net --gtest_filter='Nonblocking.*:TryRecv.*' \
       | grep -q "PASSED" &&
-    ./tests/test_pipeline --gtest_filter='Pipeline.Chunked*:Pipeline.Reentrant*' \
+    ./tests/test_pipeline \
+      --gtest_filter='Pipeline.Chunked*:Pipeline.Reentrant*:Pipeline.EpochOrder*' \
       | grep -q "PASSED" &&
     ./tests/test_serve --gtest_filter='ServeDist.*:ServeSerial.*' \
       | grep -q "PASSED")
@@ -245,9 +246,8 @@ run_serve_mix() {
   echo "=== serve-mix: mixed-shape epoch scheduling under sanitizers ==="
   # ASan: the epoch-packing scheduler and the cross-plan epoch executor.
   # Mixed-shape composition, priority tiers, deadline shedding, budget
-  # throttling and the per-member fault-isolation gate all drive buffers
-  # (epoch scratch tables, per-member channel bindings) that the
-  # same-lane forward_many path never touches.
+  # throttling and the per-member fault-isolation gate all drive the
+  # epoch scratch tables and per-member channel bindings.
   cmake -B build-ci/asan -S . -DSOI_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-ci/asan -j "${jobs}" --target test_serve test_fault

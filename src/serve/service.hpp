@@ -23,14 +23,12 @@
 //     team (any registered transport whose caps report threaded_world —
 //     the rank bodies share the service's address space) and a scheduler
 //     thread. The scheduler packs EPOCHS of up to max_concurrency
-//     requests in (priority tier, FIFO) order — mixed shapes are
-//     composed into one merged chunk graph via exec::run_epoch, each
-//     member's exchange pieces posting on its own tagged collective
-//     channel before any member blocks. When every packed request
-//     happens to share one lane the scheduler emits the same-lane fast
-//     path (SoiFftDist::forward_many) instead — identical schedule,
-//     no composition overhead. Requests carry the FULL N-point signal;
-//     rank r transforms the block subspan [r*N/R, (r+1)*N/R).
+//     requests in (priority tier, FIFO) order, and every epoch — one
+//     shape or several — is composed into one merged chunk graph via
+//     exec::run_epoch, each member's exchange pieces posting on its own
+//     tagged collective channel before any member blocks. Requests carry
+//     the FULL N-point signal; rank r transforms the block subspan
+//     [r*N/R, (r+1)*N/R).
 //
 // Priority and deadlines: every request carries a tier (interactive <
 // batch < background) and an optional absolute deadline. The scheduler
@@ -102,8 +100,8 @@ struct SubmitOptions {
 };
 
 /// One transform shape ("lane") requests are admitted against. Requests
-/// on the same lane share one plan (and, distributed, one co-scheduled
-/// batch); different lanes are independent tenant shapes.
+/// on the same lane share one plan (and, distributed, its epoch instance
+/// slots); different lanes are independent tenant shapes.
 struct LaneSpec {
   std::int64_t n = 0;  ///< transform length
   win::Accuracy accuracy = win::Accuracy::kHigh;
@@ -117,7 +115,7 @@ struct LaneSpec {
 
 struct ServeOptions {
   /// 0 = in-process serial backend (worker pool); >= 2 = in-process rank
-  /// team co-scheduling batches through forward_many.
+  /// team co-scheduling epochs through exec::run_epoch.
   int ranks = 0;
   /// Distributed backend: registered transport name hosting the rank
   /// team ("" = net::default_transport()). The rank bodies read the
@@ -128,7 +126,7 @@ struct ServeOptions {
   /// Serial backend worker threads. 0 is allowed (nothing executes until
   /// stop(); admission/rejection stays fully deterministic for tests).
   int workers = 1;
-  /// Max requests per co-scheduled batch (distributed backend); bounded
+  /// Max requests per co-scheduled epoch (distributed backend); bounded
   /// by net::kMaxChannels. Also the occupancy normaliser.
   int max_concurrency = 4;
   /// Bounded admission queue == request slot pool size. A request holds
@@ -141,11 +139,11 @@ struct ServeOptions {
   /// microseconds for the rank world (net::NetOptions::wire_latency_us).
   /// 0 = the raw in-process transport.
   double wire_latency_us = 0.0;
-  /// Distributed backend: batching delay in microseconds. A batch that
+  /// Distributed backend: batching delay in microseconds. An epoch that
   /// would dispatch below max_concurrency lingers this long for more
-  /// same-lane arrivals first (a partial batch amortises the exchange
+  /// arrivals of any shape first (a partial epoch amortises the exchange
   /// flight time over fewer transforms). 0 = dispatch immediately;
-  /// bounded per batch, so worst-case added latency is exactly this.
+  /// bounded per epoch, so worst-case added latency is exactly this.
   double batch_linger_us = 0.0;
   /// Distributed backend: cap on the summed modeled execution cost
   /// (tune::score_candidate, kModeled) packed into one epoch, in
@@ -259,18 +257,17 @@ class TransformService {
     double cost_seconds = 0.0;
   };
 
-  enum class CmdType : std::uint8_t { kLane, kWarm, kBatch, kEpoch, kStop };
+  enum class CmdType : std::uint8_t { kLane, kWarm, kEpoch, kStop };
 
   /// One entry of the rank team's command log (distributed backend).
   /// Plain copyable value: rank bodies copy it out under the service
   /// mutex, so log growth never invalidates a reader.
   struct Command {
-    CmdType type = CmdType::kBatch;
-    std::int32_t lane = -1;  ///< kBatch/kLane/kWarm: the single lane
+    CmdType type = CmdType::kEpoch;
+    std::int32_t lane = -1;  ///< kLane/kWarm: the single lane
     std::int32_t count = 0;
     std::array<std::int32_t, net::kMaxChannels> slots{};
-    /// kEpoch: per-member lane ids (mixed shapes; member i rides
-    /// collective channel i).
+    /// kEpoch: per-member lane ids (member i rides collective channel i).
     std::array<std::int32_t, net::kMaxChannels> lanes{};
   };
 
@@ -324,8 +321,8 @@ class TransformService {
   std::thread scheduler_;
   std::vector<Command> commands_;
   // Per-command completion countdowns: kLane/kWarm acks gate await_acks;
-  // a kBatch entry reaching `ranks` means every rank wrote its output
-  // block and the last rank retires the batch (no inter-batch barrier).
+  // a kEpoch entry reaching `ranks` means every rank wrote its output
+  // block and the last rank retires the epoch (no inter-epoch barrier).
   std::vector<int> cmd_acks_;
   std::vector<std::exception_ptr> cmd_errors_;
   std::int64_t batches_issued_ = 0;

@@ -93,11 +93,11 @@ struct DistOptions {
   /// Release), 0 = off, 1 = on. Violations throw
   /// soi::InvalidArgumentError before any communication happens.
   int validate_input = -1;
-  /// Independent transforms forward_many() may co-schedule per call (the
-  /// serving layer's batch width). Sizes the per-instance execution
+  /// Instances of this plan one epoch (exec::run_epoch) may co-schedule
+  /// (the serving layer's epoch width). Sizes the per-instance execution
   /// states, request slots and transport collective channels at plan
   /// time; must not exceed the transport's caps().max_coll_channels. 1 =
-  /// solo execution only.
+  /// one instance per epoch.
   int max_concurrency = 1;
   /// Forward-error-correct the exchange ("k+r", the code= knob): each
   /// peer message travels as k data + r parity shards and the receiver
@@ -145,32 +145,23 @@ class SoiFftDist {
   /// segments_per_rank.
   [[nodiscard]] std::int64_t chunk_depth() const { return env_.chunk_depth; }
 
-  /// Co-scheduled forward of K <= options().max_concurrency independent
-  /// block-distributed transforms in ONE deterministic interleaved
-  /// schedule: every instance's exchange pieces post before any instance
-  /// blocks, so waits mostly find their data already delivered — the
-  /// multi-tenant throughput path. Collective: every rank must call with
-  /// the same K, instance i's buffers on every rank belonging to the same
-  /// logical transform (instance i travels on collective channel i). Each
-  /// instance's output is bit-identical to a solo forward() of the same
-  /// input; zero steady-state allocations on the SOI side (the simulated
-  /// transport's per-message buffering is outside that guarantee).
-  void forward_many(std::span<const cspan> xs_local,
-                    std::span<const mspan> ys_local);
-
   /// Inverse transform (scaled by 1/N) via the conjugation identity —
   /// same block layout, same single all-to-all.
   void inverse(cspan y_local, mspan x_local);
 
-  /// --- cross-plan epoch membership (exec::run_epoch) -------------------
+  /// --- epoch membership (exec::run_epoch) -----------------------------
   ///
-  /// forward_many co-schedules K instances of ONE shape; an epoch
-  /// composes members of SEVERAL SoiFftDist plans (mixed shapes) sharing
-  /// one transport into a single merged schedule. Protocol, per epoch and
-  /// identical on every rank:
-  ///   1. bind_epoch_member() once per member, instances of each plan
-  ///      numbered 0..k-1 in epoch order, channels globally unique across
-  ///      the whole epoch (< caps().max_coll_channels);
+  /// An epoch composes up to max_concurrency instances of this plan and
+  /// members of OTHER SoiFftDist plans (mixed shapes) sharing one
+  /// transport into a single merged schedule: every member's exchange
+  /// pieces post before any member blocks, so waits mostly find their
+  /// data already delivered — the multi-tenant throughput path. forward()
+  /// is the one-member case. Protocol, per epoch and identical on every
+  /// rank:
+  ///   1. bind_epoch_member() once per member (it binds tier 0; set
+  ///      member.tier after), instances of each plan numbered 0..k-1 in
+  ///      epoch order, channels globally unique across the whole epoch
+  ///      (< caps().max_coll_channels);
   ///   2. exec::run_epoch() over all members (scratch sized via
   ///      exec::bind_epoch_scratch for the sum of the plans' node
   ///      counts);
@@ -201,13 +192,10 @@ class SoiFftDist {
   [[nodiscard]] const exec::TraceLog& last_trace() const {
     return state_.trace;
   }
-  /// Trace of co-scheduled instance `i` from the most recent
-  /// forward_many() (instance 0 is last_trace()). The serving layer reads
-  /// per-tenant overlap efficiency from these.
-  [[nodiscard]] const exec::TraceLog& instance_trace(int i) const {
-    return i == 0 ? state_.trace
-                  : slots_[static_cast<std::size_t>(i - 1)]->trace;
-  }
+  /// Trace of epoch instance `i` in [0, options().max_concurrency) from
+  /// the most recent epoch (instance 0 is last_trace()). The serving layer
+  /// reads per-tenant overlap efficiency from these.
+  [[nodiscard]] const exec::TraceLog& instance_trace(int i) const;
   /// The preplanned workspace (peak bytes, growth count — test surface).
   [[nodiscard]] const WorkspaceArena& workspace() const {
     return state_.arena;
@@ -244,13 +232,11 @@ class SoiFftDist {
   exec::PipelineT<double> pipeline_;
   exec::ExecState state_;
   SoiDistBreakdown breakdown_;
-  // Co-scheduling state (max_concurrency > 1): instance i > 0 executes on
-  // slots_[i-1] (cloned arena layout + trace); instance 0 reuses state_.
-  // All preallocated at construction so forward_many allocates nothing.
+  // Epoch instance state: instance i > 0 executes on slots_[i-1] (cloned
+  // arena layout + trace); instance 0 reuses state_. All preallocated at
+  // construction so epochs allocate nothing.
   std::vector<std::unique_ptr<exec::ExecState>> slots_;
-  exec::RunScratch multi_scratch_;
   std::vector<exec::ExecContextT<double>> many_ctx_;
-  std::vector<exec::ExecContextT<double>*> many_ptrs_;
   std::vector<double> guard_energies_;  // 2 per instance (in, out)
   // Epoch membership bookkeeping: the buffers bound per instance, so
   // finish_epoch can run the guard without the caller re-passing them.

@@ -170,8 +170,8 @@ class HaloConvStageT final : public exec::StageT<Real> {
       // Each concurrent execution's halo travels on its own tag so two
       // co-scheduled transforms' halos never cross-match. Channels must
       // be unique across EVERY execution sharing this transport — other
-      // instances of this plan (forward_many) and members of co-scheduled
-      // cross-plan epochs (exec::run_epoch) alike — and bounded so the
+      // instances of this plan and members of other plans in the same
+      // epoch (exec::run_epoch) alike — and bounded so the
       // staged-exchange tag blocks (kTagStaged + phase*kMaxChannels +
       // channel) stay disjoint.
       SOI_CHECK(ctx.channel >= 0 && ctx.channel < net::kMaxChannels,

@@ -87,7 +87,7 @@ struct ChainEnvT {
   /// bytes, fallbacks). Owned by the plan; null = untracked.
   net::CodedStatsAtomic* coded_stats = nullptr;
   /// Executions of this chain that may be in flight at once (co-scheduled
-  /// via Pipeline::run_many or racing from worker threads). The stages
+  /// in one exec::run_epoch or racing from worker threads). The stages
   /// size their per-execution mutable state (in-flight requests) from
   /// this at construction, indexed by ExecContext::instance — so it must
   /// be set BEFORE append_chain_stages().

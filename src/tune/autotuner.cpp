@@ -295,7 +295,10 @@ CandidateScore score_measured(const TuneKey& key, const Candidate& cand,
       const auto recs = plan.last_trace().records();
       if (best_sec.empty()) best_sec.assign(recs.size(), 1e300);
       for (std::size_t i = 0; i < recs.size(); ++i) {
-        best_sec[i] = std::min(best_sec[i], recs[i].seconds);
+        const double sec = opts.stage_cost
+                               ? opts.stage_cost(key, cand, recs[i].name, r)
+                               : recs[i].seconds;
+        best_sec[i] = std::min(best_sec[i], sec);
       }
     }
     const auto recs = plan.last_trace().records();

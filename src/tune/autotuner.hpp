@@ -18,7 +18,8 @@
 //               `reps` repetitions of SoiDistBreakdown::compute_total();
 //               communication is still modeled from the recorded volumes
 //               (the harness's measured-compute / modeled-comm
-//               methodology). Winner may vary with machine noise.
+//               methodology). Winner may vary with machine noise,
+//               unless TuneOptions::stage_cost replaces the wall clock.
 //
 // Either way the seed's hard-coded default configuration is in the
 // candidate set, so the tuned choice is never worse than the default
@@ -26,6 +27,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "net/costmodel.hpp"
@@ -69,6 +72,16 @@ struct TuneOptions {
   /// Modeled-price multiple of the front beyond which a candidate's
   /// measurement budget drops to one rep.
   double rep_gate_factor = 2.0;
+  /// kMeasured: optional stage-cost oracle. When set, every candidate's
+  /// plan still runs (the stage list and the bytes the modeled comm
+  /// prices come from its real trace), but the seconds of stage `stage`
+  /// in repetition `rep` are taken from this function instead of the
+  /// wall clock — a deterministic timing source for testing the sweep
+  /// logic (rep gating, prior ordering, tie-breaks) without scheduler
+  /// noise. Called concurrently from every rank: it must be pure.
+  std::function<double(const TuneKey& key, const Candidate& cand,
+                       std::string_view stage, int rep)>
+      stage_cost;
   /// RNG seed of the deterministic test signal (kMeasured input).
   std::uint64_t seed = 1;
   /// Nominal node compute rate for kModeled scoring, GFLOPS. Any fixed

@@ -61,9 +61,12 @@ cvec run_distributed(std::int64_t n, int p, const cvec& x, MakePlan&& make,
 
 // --- SOI distributed --------------------------------------------------------------
 
+// Every field of a test-parameter struct is 8 bytes wide: gtest names the
+// instantiations after the parameter's raw bytes, and padding would put
+// uninitialised stack bytes into the test names.
 struct DistCase {
   std::int64_t n;
-  int p;
+  std::int64_t p;
 };
 
 class DistSoi : public ::testing::TestWithParam<DistCase> {};
@@ -72,9 +75,10 @@ TEST_P(DistSoi, MatchesReference) {
   const auto [n, p] = GetParam();
   const cvec x = random_signal(n, 500 + static_cast<std::uint64_t>(n + p));
   const cvec want = reference_fft(x);
-  const cvec got = run_distributed(n, p, x, [&](net::Comm& c) {
-    return std::make_unique<core::SoiFftDist>(c, n, full_profile());
-  });
+  const cvec got =
+      run_distributed(n, static_cast<int>(p), x, [&](net::Comm& c) {
+        return std::make_unique<core::SoiFftDist>(c, n, full_profile());
+      });
   EXPECT_GT(snr_db(got, want), 270.0);
 }
 
@@ -175,11 +179,25 @@ TEST(DistSoiExtra, WrongLocalSizeThrows) {
       Error);
 }
 
+TEST(DistSoiExtra, InstanceTraceRejectsOutOfRangeInstance) {
+  // Instances are [0, max_concurrency); anything else is a typed error,
+  // not an out-of-bounds read of the per-instance states.
+  net::run_ranks(1, [&](net::Comm& c) {
+    core::DistOptions opts;
+    opts.max_concurrency = 2;
+    core::SoiFftDist plan(c, 8192, full_profile(), opts);
+    EXPECT_EQ(&plan.instance_trace(0), &plan.last_trace());
+    EXPECT_NO_THROW((void)plan.instance_trace(1));
+    EXPECT_THROW((void)plan.instance_trace(-1), Error);
+    EXPECT_THROW((void)plan.instance_trace(opts.max_concurrency), Error);
+  });
+}
+
 // --- multi-segment distribution (Section 6: P = multiple of rank count) ----
 
-struct SprCase {
+struct SprCase {  // 8-byte fields, see DistCase
   std::int64_t n;
-  int ranks;
+  std::int64_t ranks;
   std::int64_t spr;
 };
 
@@ -189,9 +207,10 @@ TEST_P(DistSoiMultiSeg, MatchesReference) {
   const auto [n, ranks, spr] = GetParam();
   const cvec x = random_signal(n, 700 + static_cast<std::uint64_t>(n + spr));
   const cvec want = reference_fft(x);
-  const cvec got = run_distributed(n, ranks, x, [&](net::Comm& c) {
-    return std::make_unique<core::SoiFftDist>(c, n, full_profile(), spr);
-  });
+  const cvec got =
+      run_distributed(n, static_cast<int>(ranks), x, [&](net::Comm& c) {
+        return std::make_unique<core::SoiFftDist>(c, n, full_profile(), spr);
+      });
   EXPECT_GT(snr_db(got, want), 270.0)
       << "ranks=" << ranks << " spr=" << spr;
 }
@@ -359,9 +378,10 @@ TEST_P(DistSixStep, MatchesReference) {
   const auto [n, p] = GetParam();
   const cvec x = random_signal(n, 900 + static_cast<std::uint64_t>(n + p));
   const cvec want = reference_fft(x);
-  const cvec got = run_distributed(n, p, x, [&](net::Comm& c) {
-    return std::make_unique<baseline::SixStepFftDist>(c, n);
-  });
+  const cvec got =
+      run_distributed(n, static_cast<int>(p), x, [&](net::Comm& c) {
+        return std::make_unique<baseline::SixStepFftDist>(c, n);
+      });
   // Exact algorithm: agreement to FFT roundoff.
   EXPECT_GT(snr_db(got, want), 290.0);
 }

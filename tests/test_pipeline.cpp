@@ -1,15 +1,17 @@
 // Pipeline-executor tests: WorkspaceArena lifetime-aliased packing, the
 // TraceLog surface, the zero-allocation steady state of the pipelined
-// plans, and serial-vs-distributed per-stage parity (same stage chain,
-// bit-identical outputs).
+// plans, serial-vs-distributed per-stage parity (same stage chain,
+// bit-identical outputs), and the epoch scheduler's ready-node order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -316,6 +318,114 @@ TEST(Pipeline, ReentrantRunOnOnePlanThrows) {
   // Guard released by the unwind: a fresh non-reentrant run succeeds.
   EXPECT_FALSE(raw->reenter);
   pipe.run(ctx);
+}
+
+// --- scheduler order --------------------------------------------------------
+
+// Declared nodes that only log (ctx.instance, label) when executed. The
+// graph has no edges, so every node is ready at once and the executed
+// order IS the scheduler's priority order. Labels (NodeSpec::phase) carry
+// (many_phase, key) = 0:(1,3) 1:(0,4) 2:(2,0) 3:(0,1) 4:(1,1) 5:(2,3):
+// posts 3 and 1, front nodes 4 and 0, tail nodes 2 and 5, and key ties
+// across classes (3/4 at key 1, 0/5 at key 3).
+struct EpochOrderGraph {
+  using Log = std::vector<std::pair<int, int>>;
+  struct Recorder : exec::StageT<double> {
+    Log* log = nullptr;
+    void plan_records(std::vector<exec::StageRecord>& out) const override {
+      exec::StageRecord r;
+      r.name = "record";
+      out.push_back(r);
+    }
+    void run(exec::ExecContextT<double>&, exec::StageRecord*) const override {}
+    void run_node(exec::ExecContextT<double>& ctx, exec::StageRecord*,
+                  const exec::NodeSpec& node) const override {
+      log->emplace_back(ctx.instance, node.phase);
+    }
+  };
+
+  Log log;
+  exec::PipelineT<double> pipe;
+  exec::TraceLog traces[2];
+  WorkspaceArena arenas[2];
+  exec::ExecContextT<double> ctxs[2];
+
+  EpochOrderGraph() {
+    auto stage = std::make_unique<Recorder>();
+    stage->log = &log;
+    pipe.add(std::move(stage));
+    const int spec[6][2] = {{1, 3}, {0, 4}, {2, 0}, {0, 1}, {1, 1}, {2, 3}};
+    for (int label = 0; label < 6; ++label) {
+      exec::NodeSpec n;
+      n.phase = label;
+      n.many_phase = spec[label][0];
+      n.seq_key = spec[label][1];
+      n.ovl_key = spec[label][1];
+      pipe.add_node(n);
+    }
+    pipe.init_trace(traces[0]);
+    traces[1] = traces[0];
+    for (int i = 0; i < 2; ++i) {
+      ctxs[i].arena = &arenas[i];
+      ctxs[i].trace = &traces[i];
+      ctxs[i].instance = i;
+      ctxs[i].channel = i;
+    }
+  }
+
+  // One epoch over the first tiers.size() contexts, member i at tiers[i].
+  Log run_epoch(std::vector<int> tiers) {
+    std::vector<exec::EpochMemberT<double>> members;
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      members.push_back({&pipe, &ctxs[i], tiers[i]});
+    }
+    exec::RunScratch scratch;
+    if (members.size() == 1) {
+      pipe.bind_scratch(scratch);
+    } else {
+      exec::bind_epoch_scratch(scratch, members.size() * pipe.node_count(),
+                               static_cast<int>(members.size()));
+    }
+    log.clear();
+    exec::run_epoch(std::span<const exec::EpochMemberT<double>>(members),
+                    scratch);
+    return log;
+  }
+};
+
+TEST(Pipeline, EpochOrderSoloRunsReadyNodesByKeyAlone) {
+  // Solo execution ignores many_phase: key order, ties by node id — for
+  // run() and for a one-member epoch alike.
+  EpochOrderGraph g;
+  const EpochOrderGraph::Log want = {{0, 2}, {0, 3}, {0, 4},
+                                     {0, 0}, {0, 5}, {0, 1}};
+  g.pipe.run(g.ctxs[0]);
+  EXPECT_EQ(g.log, want);
+  EXPECT_EQ(g.run_epoch({0}), want);
+  EXPECT_EQ(g.run_epoch({2}), want);  // a lone member's tier changes nothing
+}
+
+TEST(Pipeline, EpochOrderEqualTiersInterleavePostsThenRunMemberMajor) {
+  // Two instances of one pipeline at one tier: every post first, ordered
+  // by (key, member); then each member's front nodes depth-first, then
+  // each member's tail nodes, member-major, in key order.
+  EpochOrderGraph g;
+  const EpochOrderGraph::Log want = {
+      {0, 3}, {1, 3}, {0, 1}, {1, 1},   // posts
+      {0, 4}, {0, 0}, {1, 4}, {1, 0},   // fronts
+      {0, 2}, {0, 5}, {1, 2}, {1, 5}};  // tails
+  EXPECT_EQ(g.run_epoch({1, 1}), want);
+}
+
+TEST(Pipeline, EpochOrderLowerTierTailRunsFirst) {
+  // Member 0 background, member 1 interactive: posts still interleave by
+  // (key, member), but member 1's front and tail run before member 0's.
+  EpochOrderGraph g;
+  const EpochOrderGraph::Log want = {
+      {0, 3}, {1, 3}, {0, 1}, {1, 1},   // posts ignore the tier
+      {1, 4}, {1, 0}, {0, 4}, {0, 0},   // fronts, tier 0 first
+      {1, 2}, {1, 5}, {0, 2}, {0, 5}};  // tails, tier 0 first
+  EXPECT_EQ(g.run_epoch({2, 0}), want);
 }
 
 // --- chunked (D > 1) schedules ----------------------------------------------

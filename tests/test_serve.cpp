@@ -1,6 +1,6 @@
 // Serving-layer tests: deterministic admission control (workers=0), typed
 // rejection when the bounded queue fills, serial and distributed round
-// trips, bit-identity of co-scheduled batches vs one-at-a-time submission,
+// trips, bit-identity of co-scheduled epochs vs one-at-a-time submission,
 // wire-latency execution, and queueing metrics accounting.
 #include <gtest/gtest.h>
 
@@ -392,6 +392,59 @@ TEST(ServeDist, MixedShapeEpochBitIdenticalAcrossPriorities) {
   EXPECT_EQ(m.tiers[2].completed, 1);      // the background submit
   EXPECT_EQ(m.tiers[0].admitted, 2);
   EXPECT_EQ(m.tiers[2].admitted, 1);
+}
+
+TEST(ServeDist, SameLaneMixedTiersBitIdenticalToSolo) {
+  // One lane, tiers alternating interactive/background: each epoch packs
+  // instances of ONE plan at different tiers, which the epoch scheduler
+  // orders by tier. Chunked + overlapped so the post/front/tail classes
+  // all occur. Outputs must match one-at-a-time submission bitwise.
+  ServeOptions so;
+  so.ranks = 2;
+  so.max_concurrency = 4;
+  so.queue_capacity = 16;
+  so.batch_linger_us = 20'000.0;  // let each group of 4 fill one epoch
+  TransformService svc(so);
+  LaneSpec spec = low_lane(4096, 2);
+  spec.chunk_depth = 2;
+  const int lane = svc.create_lane(spec);
+  svc.warmup();
+  svc.reset_metrics();
+
+  const int kReqs = 8;
+  std::vector<cvec> xs, packed, solo;
+  for (int i = 0; i < kReqs; ++i) {
+    xs.push_back(random_signal(4096, 700 + static_cast<std::uint64_t>(i)));
+    packed.emplace_back(4096);
+    solo.emplace_back(4096);
+  }
+  for (int group = 0; group < kReqs; group += 4) {
+    std::vector<Ticket> tickets;
+    for (int i = group; i < group + 4; ++i) {
+      SubmitOptions sopt;
+      sopt.priority = (i % 2) == 0 ? Priority::kInteractive
+                                   : Priority::kBackground;
+      tickets.push_back(svc.submit(lane, i, xs[static_cast<std::size_t>(i)],
+                                   packed[static_cast<std::size_t>(i)],
+                                   sopt));
+    }
+    for (const auto& t : tickets) svc.wait(t);
+  }
+  for (int i = 0; i < kReqs; ++i) {
+    const Ticket t = svc.submit(lane, i, xs[static_cast<std::size_t>(i)],
+                                solo[static_cast<std::size_t>(i)]);
+    svc.wait(t);
+  }
+  for (int i = 0; i < kReqs; ++i) {
+    expect_bitwise_equal(packed[static_cast<std::size_t>(i)],
+                         solo[static_cast<std::size_t>(i)],
+                         "mixed tiers vs solo");
+  }
+  const auto m = svc.metrics();
+  EXPECT_EQ(m.completed, 2 * kReqs);
+  EXPECT_EQ(m.failed, 0);
+  EXPECT_EQ(m.tiers[0].completed, kReqs / 2);
+  EXPECT_EQ(m.tiers[2].completed, kReqs / 2);
 }
 
 TEST(ServeDist, InfeasibleBackgroundShedBeforeExecutionInteractiveCompletes) {

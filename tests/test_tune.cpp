@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -31,7 +32,7 @@ TEST(Candidates, KeyAndCandidateRoundTrip) {
   EXPECT_EQ(parse_tune_key(key.str()), key);
 
   const Candidate cand{win::Accuracy::kLow, 4, net::AlltoallAlgo::kDirect,
-                       true, 16, 2};
+                       true, 16, 2, {}, {}, {}, {}};
   EXPECT_EQ(cand.describe(),
             "tier=low spr=4 algo=direct overlap=1 bw=16 cd=2");
   EXPECT_EQ(parse_candidate(cand.describe()), cand);
@@ -76,7 +77,8 @@ TEST(Candidates, DefaultConfigurationLeadsTheEnumeration) {
   ASSERT_FALSE(space.empty());
   // The seed's hard-coded configuration must be first: it is the tuner's
   // tie-break anchor ("tuned never worse than default").
-  const Candidate dflt{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false};
+  const Candidate dflt{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false,
+                       0, 1, {}, {}, {}, {}};
   EXPECT_EQ(space.front(), dflt);
 }
 
@@ -138,7 +140,7 @@ TEST(Candidates, TopologyRoundTripsAndFlatTextUnchanged) {
   // token); non-flat candidates append one and round-trip through
   // parse_candidate.
   Candidate cand{win::Accuracy::kLow, 6, net::AlltoallAlgo::kPairwise,
-                 true, 0, 3, "two-level:4"};
+                 true, 0, 3, "two-level:4", {}, {}, {}};
   EXPECT_EQ(cand.describe(),
             "tier=low spr=6 algo=pairwise overlap=1 bw=0 cd=3 topo=two-level:4");
   EXPECT_EQ(parse_candidate(cand.describe()), cand);
@@ -366,7 +368,8 @@ TEST(Registry, ClearDropsEntriesButNotHandles) {
 TunedConfig demo_config() {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kLow, 2,
-                            net::AlltoallAlgo::kDirect, true, 8};
+                            net::AlltoallAlgo::kDirect, true, 8, 1, {}, {},
+                            {}, {}};
   cfg.profile = win::make_profile(win::Accuracy::kLow);
   cfg.score_seconds = 1.25e-3;
   return cfg;
@@ -498,7 +501,7 @@ TEST(Wisdom, V4TopologyAndDeepChunksRoundTrip) {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kMedium, 6,
                             net::AlltoallAlgo::kPairwise, true, 0, 3,
-                            "torus:2x2x1"};
+                            "torus:2x2x1", {}, {}, {}};
   cfg.profile = win::make_profile(win::Accuracy::kMedium);
   cfg.score_seconds = 4.5e-4;
   store.put(key, cfg);
@@ -538,7 +541,7 @@ TEST(Wisdom, V5BackendPinsRoundTrip) {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kMedium, 4,
                             net::AlltoallAlgo::kDirect, true, 0, 2,
-                            "", "shm", "scalar"};
+                            "", "shm", "scalar", {}};
   cfg.profile = win::make_profile(win::Accuracy::kMedium);
   cfg.score_seconds = 2.5e-4;
   store.put(key, cfg);
@@ -672,7 +675,7 @@ TEST(Autotune, WinnerIsNeverWorseThanDefault) {
         TuneKey{1 << 16, 16, win::Accuracy::kMedium}}) {
     const auto result = autotune(key);
     const Candidate dflt{key.accuracy, 1, net::AlltoallAlgo::kPairwise,
-                         false};
+                         false, 0, 1, {}, {}, {}, {}};
     const auto dflt_score = score_candidate(key, dflt);
     EXPECT_LE(result.best.total_seconds(), dflt_score.total_seconds())
         << key.str();
@@ -686,7 +689,8 @@ TEST(Autotune, RetransmitPricingReordersCandidatesUnderLoss) {
   // uncoded candidate pays loss_rate/(1-loss_rate) retransmit round trips
   // per message while the coded one absorbs losses in band.
   const TuneKey key{1 << 16, 8, win::Accuracy::kLow};
-  Candidate uncoded{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false};
+  Candidate uncoded{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false,
+                    0, 1, {}, {}, {}, {}};
   Candidate coded = uncoded;
   coded.coding = "4+1";
 
@@ -810,7 +814,8 @@ TEST(Autotune, ChunkedOverlapNeverPricedSlowerThanUnchunked) {
   // non-increasing in chunk depth: the pipelined exchange hides pieces
   // behind downstream compute, never adds exposed time.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
-  Candidate cand{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 1};
+  Candidate cand{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 1,
+                 {}, {}, {}, {}};
   const double base = score_candidate(key, cand).total_seconds();
   for (const std::int64_t cd : {std::int64_t{2}, std::int64_t{4}}) {
     cand.chunk_depth = cd;
@@ -826,7 +831,8 @@ TEST(Autotune, TwoLevelSchedulePricedFasterThanFlatPairwise) {
   // the two-level candidate must come out strictly cheaper than the same
   // candidate on the flat schedule.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
-  Candidate flat{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 2};
+  Candidate flat{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 2,
+                 {}, {}, {}, {}};
   Candidate staged = flat;
   staged.topology = "two-level:2";
   EXPECT_LT(score_candidate(key, staged).total_seconds(),
@@ -844,7 +850,7 @@ TEST(Autotune, TwoLevelSchedulePricedFasterThanFlatPairwise) {
   opts.fabric = &slow_fabric;
   const TuneKey small{1 << 14, 8, win::Accuracy::kLow};
   Candidate small_flat{small.accuracy, 1, net::AlltoallAlgo::kPairwise,
-                       false};
+                       false, 0, 1, {}, {}, {}, {}};
   Candidate small_torus = small_flat;
   small_torus.topology = "torus:2x2x2";
   EXPECT_LT(score_candidate(small, small_torus, opts).total_seconds(),
@@ -884,7 +890,8 @@ TEST(Autotune, ScalarEnginePricedSlowerThanBatch) {
   // compute_scale: the scalar executor (scale < 1) must price every
   // candidate's compute strictly above the batch executor's.
   const TuneKey key{1 << 16, 8, win::Accuracy::kLow};
-  Candidate batch_cand{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false};
+  Candidate batch_cand{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false,
+                       0, 1, {}, {}, {}, {}};
   Candidate scalar_cand = batch_cand;
   batch_cand.engine = "batch";
   scalar_cand.engine = "scalar";
@@ -900,7 +907,8 @@ TEST(Autotune, ShmTransportPricedOnNodeLocalFabric) {
   // transport are priced on the node-local memory fabric, which must make
   // the exchange cheaper than the default cluster fat tree.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
-  Candidate cluster{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false};
+  Candidate cluster{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false,
+                    0, 1, {}, {}, {}, {}};
   Candidate local = cluster;
   local.transport = "shm";
   const auto cluster_score = score_candidate(key, cluster);
@@ -921,12 +929,27 @@ TEST(Autotune, RepGatingByStagePriorsKeepsWinnerAndGatesFarCandidates) {
   // calibrated modeled scorer prices far off the front get ONE measured
   // rep instead of the full budget. Per-stage minima can only stay >=
   // with fewer reps, so the winner must be identical to the ungated
-  // sweep on the seeded fixture — only the measurement budget shrinks.
+  // sweep — only the measurement budget shrinks.
+  //
+  // Wall-clock minima of ~1 ms candidates are decided by scheduler noise,
+  // even between two UNGATED sweeps, so the sweeps here read a
+  // deterministic stage-cost oracle: every stage costs a fixed share of
+  // the candidate's modeled compute times a per-(candidate, stage, rep)
+  // jitter in [1, 1.3). Best-of-reps then behaves like a measurement
+  // (more reps, lower minima) and every sweep sees the same numbers.
+  const auto stage_cost = [](const TuneKey& k, const Candidate& c,
+                             std::string_view stage, int rep) {
+    const double modeled = score_candidate(k, c).compute_seconds;
+    const std::size_t h = std::hash<std::string>{}(
+        c.describe() + "/" + std::string(stage) + "/" + std::to_string(rep));
+    return 0.25 * modeled * (1.0 + 0.3 * static_cast<double>(h % 1000) / 1e3);
+  };
   const TuneKey neighbour{1 << 13, 2, win::Accuracy::kLow};
   TuneOptions seed_opts;
   seed_opts.mode = TuneMode::kMeasured;
   seed_opts.reps = 1;
   seed_opts.max_segments_per_rank = 2;
+  seed_opts.stage_cost = stage_cost;
   WisdomStore wisdom;
   (void)tuned_config(neighbour, wisdom, seed_opts);
   ASSERT_FALSE(wisdom.find(neighbour)->stage_seconds.empty());
@@ -938,10 +961,10 @@ TEST(Autotune, RepGatingByStagePriorsKeepsWinnerAndGatesFarCandidates) {
   opts.max_segments_per_rank = 2;
   opts.priors = &wisdom;
   opts.rep_gate_factor = 1.5;
-  // A high-latency fabric makes the (deterministic, modeled) exchange
-  // dominate every total, so the seeded fixture has ONE clear winner —
-  // measurement noise in the compute term cannot flip it between the
-  // gated and ungated sweeps.
+  opts.stage_cost = stage_cost;
+  // A high-latency fabric spreads the modeled totals (direct and
+  // non-overlapped schedules pay extra latency), so the gate has far-off
+  // candidates to demote.
   const net::FatTreeModel slow_fabric({40.0, 200e-6});
   opts.fabric = &slow_fabric;
 
@@ -958,24 +981,12 @@ TEST(Autotune, RepGatingByStagePriorsKeepsWinnerAndGatesFarCandidates) {
   EXPECT_LT(gated.gated_candidates,
             static_cast<int>(gated.scores.size()));
   EXPECT_EQ(gated.scores.size(), ungated.scores.size());
-  // Identical winners on every axis the gate can influence: tier, spr,
-  // algorithm, overlap and topology are separated by the (deterministic)
-  // modeled exchange under the slow fabric, so both sweeps must agree on
-  // them. batch_width and chunk_depth are canonicalised before the
-  // comparison: at this shape the variants execute the exact same work
-  // and the modeled pricing ties them exactly, so the measured tie is
-  // broken by wall-clock noise even between two UNGATED sweeps — those
-  // axes carry no gating signal.
-  Candidate g = gated.best.candidate;
-  Candidate u = ungated.best.candidate;
-  g.batch_width = u.batch_width = 0;
-  g.chunk_depth = u.chunk_depth = 1;
-  EXPECT_EQ(g, u) << "gated winner " << gated.best.candidate.describe()
-                  << " vs ungated winner "
-                  << ungated.best.candidate.describe();
-  // And the winning totals agree to within measurement noise: the
-  // latency-priced exchange dominates both, so a gate that demoted the
-  // true front would show up as a materially different best time.
+  // Identical winners on every axis, and the winning totals agree: a
+  // gate that demoted the true front would show up as a different winner
+  // with a materially different best time.
+  EXPECT_EQ(gated.best.candidate, ungated.best.candidate)
+      << "gated winner " << gated.best.candidate.describe()
+      << " vs ungated winner " << ungated.best.candidate.describe();
   EXPECT_NEAR(gated.best.total_seconds(), ungated.best.total_seconds(),
               0.05 * ungated.best.total_seconds());
 

@@ -196,7 +196,7 @@ Args parse(int argc, char** argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       a.kv[key] = argv[++i];
     } else if (kBoolean.count(key) > 0) {
-      a.kv[key] = "1";
+      a.kv[key] = std::string(1, '1');  // GCC 12 false -Wrestrict on "1"
     } else {
       throw Error("flag '--" + key + "' requires a value");
     }
