@@ -14,8 +14,8 @@
 // second half drives the full distributed pipeline across topologies and
 // reports each schedule's overlap efficiency and bisection traffic;
 // --json emits machine-readable records carrying `bisection_bytes` and
-// `overlap_efficiency` plus the `transport`/`engine` backend stamps for
-// the perf-trajectory files.
+// `overlap_efficiency` plus the `transport` stamp for the perf-trajectory
+// files.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +28,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "fft/engine.hpp"
 #include "harness.hpp"
 #include "net/costmodel.hpp"
 #include "net/erasure.hpp"
@@ -470,17 +469,7 @@ int main(int argc, char** argv) {
   if (!json) lossy.print();
 
   if (json) {
-    // The raw-exchange records move bytes only; the dist pipeline records
-    // additionally ran local FFT stages on the default engine.
-    const std::string engine = fft::default_engine();
-    for (auto& rec : records) {
-      rec.transport = kTransport;
-      // The dist pipeline and loss-sweep records ran local FFT stages.
-      if (rec.label.rfind("dist ", 0) == 0 ||
-          rec.label.find(" exchange") != std::string::npos) {
-        rec.engine = engine;
-      }
-    }
+    for (auto& rec : records) rec.transport = kTransport;
     std::fputs(bench::to_json(records).c_str(), stdout);
     return 0;
   }

@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
   const char* reps_env = std::getenv("SOI_BENCH_REPS");
   const int reps = reps_env ? std::atoi(reps_env) : 3;
 
-  // Backend selection follows the session defaults (SOI_TRANSPORT /
-  // SOI_FFT_ENGINE). The steady-state capture below aggregates per-rank
-  // counters through captured host memory + a mutex, which only works when
-  // every rank runs in this process — cross-process defaults (e.g. shm)
-  // fall back to sim for the execution part, with a note.
+  // Transport selection follows the session default (SOI_TRANSPORT). The
+  // steady-state capture below aggregates per-rank counters through
+  // captured host memory + a mutex, which only works when every rank runs
+  // in this process — cross-process defaults (e.g. shm) fall back to sim
+  // for the execution part, with a note.
   std::string transport = net::default_transport();
   const auto& tcaps = net::TransportRegistry::instance().caps(transport);
   if (!tcaps.threaded_world) {
@@ -69,13 +69,11 @@ int main(int argc, char** argv) {
                  transport.c_str());
     transport = "sim";
   }
-  const std::string engine = fft::default_engine();
 
   tune::TuneOptions opts;
   opts.mode = measured ? tune::TuneMode::kMeasured : tune::TuneMode::kModeled;
   opts.reps = reps;
   opts.transport = transport;
-  opts.engine = engine;
 
   const Shape shapes[] = {
       {1 << 16, 4, win::Accuracy::kFull},
@@ -98,12 +96,11 @@ int main(int argc, char** argv) {
   for (const auto& s : shapes) {
     tune::TuneKey key{s.n, s.ranks, s.acc};
     tune::Candidate dflt{s.acc, 1, net::AlltoallAlgo::kPairwise, false, 0, 1,
-                         {}, {}, {}, {}};
-    // Stamp the default with the same backends autotune() stamps on its
+                         {}, {}, {}};
+    // Stamp the default with the transport autotune() stamps on its
     // candidates: tuned <= default only holds when both sides are priced
-    // on one (transport, engine) pair.
+    // on one transport.
     dflt.transport = opts.transport;
-    dflt.engine = opts.engine;
     const auto dflt_score = tune::score_candidate(key, dflt, opts);
     const auto result = tune::autotune(key, opts);
     const double ratio =
@@ -148,7 +145,6 @@ int main(int argc, char** argv) {
         dopts.overlap = win.overlap;
         dopts.batch_width = win.batch_width;
         dopts.chunk_depth = win.chunk_depth;
-        dopts.engine = win.engine;
         dopts.table = table;
         core::SoiFftDist plan(comm, s.n, result.profile, dopts);
         const std::int64_t m_rank = plan.local_size();
@@ -201,8 +197,7 @@ int main(int argc, char** argv) {
           dopts.overlap = win.overlap;
           dopts.batch_width = win.batch_width;
           dopts.chunk_depth = win.chunk_depth;
-          dopts.engine = win.engine;
-          dopts.residual_guard = integrity;
+            dopts.residual_guard = integrity;
           dopts.table = table;
           core::SoiFftDist plan(comm, s.n, result.profile, dopts);
           const std::int64_t m_rank = plan.local_size();
@@ -314,10 +309,7 @@ int main(int argc, char** argv) {
     }
   }
   if (json) {
-    for (auto& r : records) {
-      r.transport = transport;
-      r.engine = engine;
-    }
+    for (auto& r : records) r.transport = transport;
     std::fputs(bench::to_json(records).c_str(), stdout);
     return ok ? 0 : 1;
   }

@@ -147,10 +147,6 @@ std::string to_json(const std::vector<BenchRecord>& records) {
       os << ", \"transport\": ";
       json_string(os, r.transport);
     }
-    if (!r.engine.empty()) {
-      os << ", \"engine\": ";
-      json_string(os, r.engine);
-    }
     if (!r.stages.empty()) {
       os << ", \"stages\": [";
       for (std::size_t s = 0; s < r.stages.size(); ++s) {

@@ -35,7 +35,7 @@ namespace soi::bench {
 ///    "resilience_overhead"?,"recovered_chunks"?,"parity_bytes"?,
 ///    "coding_overhead"?,"p50_ms"?,"p99_ms"?,"transforms_per_sec"?,
 ///    "admitted"?,"rejected"?,"queue_peak"?,"shed"?,"tiers"?,
-///    "transport"?,"engine"?,"stages"?}
+///    "transport"?,"stages"?}
 /// `overlap_efficiency` (present when the bench captured a pipeline trace)
 /// is exec::overlap_efficiency() of that trace: 1 - wait/total, clamped to
 /// [0, 1]. The resilience triple (present when the bench sampled its
@@ -116,12 +116,11 @@ struct BenchRecord {
     double p99_ms = -1.0;
   };
   std::vector<TierRecord> tiers;
-  /// Backend the record's runs executed on (empty = the record is not
-  /// backend-specific; the fields are omitted from the JSON). Benches that
-  /// launch rank teams or build FFT plans stamp the RESOLVED names here, so
-  /// perf-trajectory files distinguish e.g. sim- from shm-transport runs.
+  /// Transport the record's runs executed on (empty = the record is not
+  /// transport-specific; the field is omitted from the JSON). Benches that
+  /// launch rank teams stamp the RESOLVED name here, so perf-trajectory
+  /// files distinguish e.g. sim- from shm-transport runs.
   std::string transport;
-  std::string engine;
   /// Per-stage trace of the timed pipeline execution (empty = no trace).
   std::vector<exec::StageRecord> stages;
 };

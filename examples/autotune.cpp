@@ -102,7 +102,6 @@ int main(int argc, char** argv) {
   tuned_opts.segments_per_rank = tuned->candidate.segments_per_rank;
   tuned_opts.alltoall_algo = tuned->candidate.alltoall_algo;
   tuned_opts.overlap = tuned->candidate.overlap;
-  tuned_opts.engine = tuned->candidate.engine;
   // One table for all ranks: the registry constructs it exactly once.
   tuned_opts.table = registry.conv_table(n, p * tuned_opts.segments_per_rank,
                                          tuned->profile);

@@ -9,7 +9,7 @@
 #   scripts/ci.sh chaos       # fault-injection suites under ASan + TSan
 #   scripts/ci.sh coded       # erasure-coded exchange suites + CLI
 #   scripts/ci.sh topology    # staged-exchange suites (two-level + torus)
-#   scripts/ci.sh backends    # transport/engine registries, shm conformance
+#   scripts/ci.sh backends    # transport registry, shm conformance
 #   scripts/ci.sh serve-mix   # mixed-shape epoch scheduling suites + CLI
 #   scripts/ci.sh smoke       # just the tune -> wisdom -> reuse smoke
 #   scripts/ci.sh bench-smoke # JSON benches on tiny sizes, validated
@@ -192,7 +192,7 @@ run_topology() {
 }
 
 run_backends() {
-  echo "=== backends: transport/engine registries + shm suites under sanitizers ==="
+  echo "=== backends: transport registry + shm suites under sanitizers ==="
   # Layering lint: after the plan-ABI refactor, the SOI executor and the
   # serving layer see rank communication only through net/transport.hpp —
   # a concrete SimMPI include would re-couple them to one backend. Any
@@ -221,17 +221,16 @@ run_backends() {
   cmake --build build-ci/tsan -j "${jobs}" --target test_backends
   (cd build-ci/tsan && ./tests/test_backends | grep -q "PASSED")
   # End-to-end: the same distributed transform through the CLI over both
-  # transports and both engines, with the accuracy check on. An unknown
-  # backend name must fail fast with the registry's listing error.
+  # transports, with the accuracy check on. An unknown backend name must
+  # fail fast with the registry's listing error, and the deleted --engine
+  # flag must be rejected as unknown.
   cmake -B build-ci/tier1 -S . >/dev/null
   cmake --build build-ci/tier1 -j "${jobs}" --target soifft
   build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
     --transport sim >/dev/null
   build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
     --transport shm >/dev/null
-  build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check \
-    --transport shm --engine scalar >/dev/null
-  SOI_TRANSPORT=shm SOI_FFT_ENGINE=scalar \
+  SOI_TRANSPORT=shm \
     build-ci/tier1/tools/soifft dist --n 4096 --p 4 --check >/dev/null
   if build-ci/tier1/tools/soifft dist --n 4096 --p 4 \
       --transport no-such-backend >/dev/null 2>build-ci/backends_err.txt; then
@@ -239,6 +238,12 @@ run_backends() {
     exit 1
   fi
   grep -q "registered backends" build-ci/backends_err.txt
+  if build-ci/tier1/tools/soifft dist --n 4096 --p 4 \
+      --engine batch >/dev/null 2>build-ci/backends_err.txt; then
+    echo "the --engine flag must be rejected" >&2
+    exit 1
+  fi
+  grep -q "unknown flag '--engine'" build-ci/backends_err.txt
   echo "backends OK"
 }
 
@@ -315,10 +320,11 @@ run_bench_smoke() {
   if [ ! -x build-ci/tier1/bench/bench_batch_fft ] ||
      [ ! -x build-ci/tier1/bench/bench_tuned ] ||
      [ ! -x build-ci/tier1/bench/bench_serve ] ||
-     [ ! -x build-ci/tier1/bench/bench_alltoall ]; then
+     [ ! -x build-ci/tier1/bench/bench_alltoall ] ||
+     [ ! -x build-ci/tier1/bench/bench_fft_engine ]; then
     cmake -B build-ci/tier1 -S . >/dev/null
     cmake --build build-ci/tier1 -j "${jobs}" --target \
-      bench_batch_fft bench_tuned bench_serve bench_alltoall
+      bench_batch_fft bench_tuned bench_serve bench_alltoall bench_fft_engine
   fi
   # Tiny shapes so the stage takes seconds; the point is that every bench
   # runs end-to-end and emits a well-formed, non-empty record array.
@@ -329,6 +335,8 @@ run_bench_smoke() {
     > "${out}/batch_fft.json"
   SOI_BENCH_REPS=2 build-ci/tier1/bench/bench_tuned --json \
     > "${out}/tuned.json"
+  SOI_BENCH_REPS=1 build-ci/tier1/bench/bench_fft_engine --json \
+    > "${out}/fft_engine.json"
   # Tiny serving trace: few requests, small shapes, a short emulated wire
   # so the queueing fields are exercised without a multi-second run.
   SOI_BENCH_SERVE_LOG2=11 SOI_BENCH_SERVE_REQUESTS=24 \
@@ -388,7 +396,8 @@ for r in mixes:
         f"{path}: bad overlap_efficiency {eff}: {r}"
 print(f"{path}: {len(records)} serving records OK")
 EOF
-  python3 - "${out}/batch_fft.json" "${out}/tuned.json" <<'EOF'
+  python3 - "${out}/batch_fft.json" "${out}/tuned.json" \
+    "${out}/fft_engine.json" <<'EOF'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as f:
@@ -405,12 +414,10 @@ for path in sys.argv[1:]:
         # self-consistent with the record total, and a zero-allocation
         # steady state on every traced shape.
         assert traced, f"{path}: no record carries a stages array"
-        # Every tuned record names the (transport, engine) pair the run was
-        # priced and executed on — the fields downstream gain analysis keys
-        # results by.
+        # Every tuned record names the transport the run was priced and
+        # executed on — the field downstream gain analysis keys results by.
         for r in records:
-            for key in ("transport", "engine"):
-                assert r.get(key), f"{path}: record missing {key}: {r}"
+            assert r.get("transport"), f"{path}: record missing transport: {r}"
         for r in traced:
             assert r["steady_state_allocs"] == 0, \
                 f"{path}: steady-state forward allocated: {r}"
@@ -478,8 +485,7 @@ for want in topos:
     assert any(want in r["case"] for r in dist), f"{path}: no dist {want} case"
 for r in records:
     assert r["seconds"] > 0, f"{path}: non-positive seconds: {r}"
-    # Every exchange record names the transport it was timed on; the
-    # end-to-end dist records also name the FFT engine.
+    # Every exchange record names the transport it was timed on.
     assert r.get("transport"), f"{path}: record missing transport: {r}"
 for r in raw + dist:
     assert r["bisection_bytes"] > 0, f"{path}: missing bisection traffic: {r}"
@@ -487,7 +493,6 @@ for r in dist:
     eff = r.get("overlap_efficiency")
     assert eff is not None and 0.0 <= eff <= 1.0, \
         f"{path}: bad overlap_efficiency {eff}: {r}"
-    assert r.get("engine"), f"{path}: dist record missing engine: {r}"
 # The coded-vs-retransmit loss sweep: exactly one coded and one
 # retransmit record, with the coding schema extension on the coded one —
 # in-band recovery visible, zero retries, and a cheaper exchange than

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace soi::net {
 
@@ -49,19 +51,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-double parse_number(const std::string& text, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  SOI_CHECK(used == text.size() && !text.empty(),
-            "fault spec: " << what << " '" << text << "' is not a number");
-  return v;
-}
-
 // splitmix64: one well-mixed 64-bit draw per message coordinate tuple.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -100,24 +89,17 @@ FaultSpec FaultSpec::parse(const std::string& text) {
       SOI_CHECK(fields.size() >= 3,
                 "fault spec: first entry must be seed:kind:rate, got '"
                     << parts[i] << "'");
-      const double seed = parse_number(fields[0], "seed");
-      SOI_CHECK(seed >= 0 && seed == static_cast<double>(
-                                         static_cast<std::uint64_t>(seed)),
-                "fault spec: seed '" << fields[0]
-                                     << "' must be a non-negative integer");
-      spec.seed = static_cast<std::uint64_t>(seed);
+      spec.seed = static_cast<std::uint64_t>(parse_int(
+          fields[0], "fault spec: seed", 0));
       have_seed = true;
       fields.erase(fields.begin());
     }
     if (fields.size() == 3 && fields[0] == "stall") {
-      const double rank = parse_number(fields[1], "stall rank");
-      const double ms = parse_number(fields[2], "stall ms");
-      SOI_CHECK(rank >= 0 && rank == static_cast<double>(
-                                         static_cast<int>(rank)),
-                "fault spec: stall rank '" << fields[1]
-                                           << "' must be a rank index");
+      spec.stall_rank = static_cast<int>(parse_int(
+          fields[1], "fault spec: stall rank", 0,
+          std::numeric_limits<int>::max()));
+      const double ms = parse_double(fields[2], "fault spec: stall ms");
       SOI_CHECK(ms >= 0.0, "fault spec: stall ms must be >= 0");
-      spec.stall_rank = static_cast<int>(rank);
       spec.stall_ms = ms;
       continue;
     }
@@ -131,7 +113,7 @@ FaultSpec FaultSpec::parse(const std::string& text) {
                   << fields[0]
                   << "' (drop, corrupt, truncate, duplicate, delay, "
                      "straggler, stall)");
-    rule.rate = parse_number(fields[1], "rate");
+    rule.rate = parse_double(fields[1], "fault spec: rate");
     SOI_CHECK(rule.rate >= 0.0 && rule.rate <= 1.0,
               "fault spec: rate " << rule.rate << " outside [0, 1]");
     spec.rules.push_back(rule);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "net/transport.hpp"
 
 namespace soi::net {
@@ -27,6 +27,13 @@ int nearest_divisor(int n, double target) {
     }
   }
   return best;
+}
+
+/// One numeric field of a topology spec: an integer in [0, ranks] (0 =
+/// derive it), so dimension products cannot overflow.
+int spec_field(const std::string& field, const std::string& text, int ranks) {
+  return static_cast<int>(parse_int(field, "topology '" + text + "'", 0,
+                                    std::max(ranks, 0)));
 }
 
 }  // namespace
@@ -90,27 +97,19 @@ Topology Topology::parse(const std::string& text, int ranks) {
   const std::string arg =
       colon == std::string::npos ? std::string() : text.substr(colon + 1);
   if (head == "two-level") {
-    int g = 0;
-    if (!arg.empty()) {
-      try {
-        g = std::stoi(arg);
-      } catch (const std::exception&) {
-        throw Error("topology: bad group size '" + arg + "' in '" + text +
-                    "'");
-      }
-    }
-    return two_level(ranks, g);
+    return two_level(ranks, arg.empty() ? 0 : spec_field(arg, text, ranks));
   }
   if (head == "torus") {
     int k[3] = {0, 0, 0};
     if (!arg.empty()) {
-      std::istringstream in(arg);
-      char x1 = 0, x2 = 0;
-      if (!(in >> k[0] >> x1 >> k[1] >> x2 >> k[2]) || x1 != 'x' ||
-          x2 != 'x' || !in.eof()) {
-        throw Error("topology: bad torus dims '" + arg + "' in '" + text +
-                    "' (want k0xk1xk2)");
-      }
+      const auto x1 = arg.find('x');
+      const auto x2 = x1 == std::string::npos ? x1 : arg.find('x', x1 + 1);
+      SOI_CHECK(x2 != std::string::npos,
+                "topology: bad torus dims '" << arg << "' in '" << text
+                                             << "' (want k0xk1xk2)");
+      k[0] = spec_field(arg.substr(0, x1), text, ranks);
+      k[1] = spec_field(arg.substr(x1 + 1, x2 - x1 - 1), text, ranks);
+      k[2] = spec_field(arg.substr(x2 + 1), text, ranks);
     }
     return torus(ranks, k[0], k[1], k[2]);
   }

@@ -7,9 +7,7 @@
 //   * "sim"  — SimMPI, thread-per-rank in one process with fault
 //              injection and wire-latency emulation (net/comm.hpp),
 //   * "shm"  — multi-process shared-memory rings, fork + mmap with the
-//              same CRC32C/sequence integrity envelope (net/shm.hpp),
-//   * "mpi"  — compile-time-gated skeleton mapping this ABI onto
-//              MPI_Comm (net/mpi_transport.hpp, -DSOI_WITH_MPI=ON).
+//              same CRC32C/sequence integrity envelope (net/shm.hpp).
 //
 // Backends register a factory in net::TransportRegistry (net/registry.hpp)
 // and advertise what they can do through TransportCaps. Capabilities are
@@ -114,7 +112,7 @@ struct NetOptions {
 /// registry (so callers can validate options before launching a world) and
 /// from a live Transport via caps().
 struct TransportCaps {
-  /// Registered backend name ("sim", "shm", "mpi").
+  /// Registered backend name ("sim", "shm").
   const char* name = "?";
   /// Collective channels this backend disambiguates (<= kMaxChannels).
   int max_coll_channels = kMaxChannels;

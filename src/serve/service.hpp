@@ -86,8 +86,8 @@ enum class Priority : std::uint8_t {
 [[nodiscard]] const char* priority_name(Priority p);
 
 /// Parse a tier name; throws soi::InvalidArgumentError listing the
-/// valid tiers on anything else (mirrors the transport/engine registry
-/// error style).
+/// valid tiers on anything else (mirrors the transport registry's error
+/// style).
 [[nodiscard]] Priority priority_from_name(const std::string& name);
 
 /// Per-request scheduling knobs carried alongside the buffers.

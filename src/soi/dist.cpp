@@ -33,10 +33,8 @@ SoiFftDist::SoiFftDist(net::Transport& comm, std::int64_t n,
       table_(opts_.table ? opts_.table
                          : std::make_shared<const ConvTable>(
                                geom_, *profile_.window)),
-      batch_p_(fft::make_batch_plan(opts_.engine, geom_.p(),
-                                    opts_.batch_width)),
-      batch_mp_(fft::make_batch_plan(opts_.engine, geom_.mprime(),
-                                     opts_.batch_width)) {
+      batch_p_(geom_.p(), opts_.batch_width),
+      batch_mp_(geom_.mprime(), opts_.batch_width) {
   SOI_CHECK(spr_ >= 1, "SoiFftDist: segments_per_rank must be >= 1");
   // The halo crosses exactly one rank boundary (Fig. 4); a geometry whose
   // halo exceeds one segment would need points beyond the right neighbour.
@@ -49,8 +47,8 @@ SoiFftDist::SoiFftDist(net::Transport& comm, std::int64_t n,
   // steady-state forward() allocates nothing.
   env_.geom = &geom_;
   env_.table = table_.get();
-  env_.batch_p = batch_p_.get();
-  env_.batch_mp = batch_mp_.get();
+  env_.batch_p = &batch_p_;
+  env_.batch_mp = &batch_mp_;
   env_.ranks = comm.size();
   env_.spr = spr_;
   env_.has_comm = true;

@@ -25,7 +25,7 @@
 #include <string>
 
 #include "common/types.hpp"
-#include "fft/engine.hpp"
+#include "fft/batch.hpp"
 #include "net/erasure.hpp"
 #include "net/transport.hpp"
 #include "soi/breakdown.hpp"
@@ -50,12 +50,6 @@ struct DistOptions {
   /// Transforms per SoA pass of the batched FFT stages (fft/batch.hpp);
   /// 0 derives the width from the detected SIMD tier. Autotuner knob.
   std::int64_t batch_width = 0;
-  /// FFT-engine backend the local transform stages run on ("" = the
-  /// process default: $SOI_FFT_ENGINE, else "batch"). Unknown names throw
-  /// soi::InvalidArgumentError listing the registered engines. Wisdom
-  /// records carry this, so tuned plans replay on the engine that scored
-  /// them.
-  std::string engine;
   /// Chunk groups the exchange..demod stages are cut into (the dataflow
   /// executor's double-buffer depth): group g+1's all-to-all piece is in
   /// flight while group g's f_mprime/demod computes under the pipelined
@@ -226,8 +220,8 @@ class SoiFftDist {
   std::int64_t spr_;
   SoiGeometry geom_;
   std::shared_ptr<const ConvTable> table_;
-  std::unique_ptr<const fft::BatchTransform> batch_p_;
-  std::unique_ptr<const fft::BatchTransform> batch_mp_;
+  fft::BatchFft batch_p_;   // I_M' (x) F_P
+  fft::BatchFft batch_mp_;  // I_P (x) F_M'
   ChainEnvT<double> env_;
   exec::PipelineT<double> pipeline_;
   exec::ExecState state_;

@@ -12,8 +12,8 @@ SoiRealFft::SoiRealFft(std::int64_t n, std::int64_t p,
       profile_(std::move(profile)),
       geom_(n / 2, p, profile_),
       table_(geom_, *profile_.window),
-      batch_p_(fft::make_batch_plan("", p)),
-      batch_mp_(fft::make_batch_plan("", geom_.mprime())) {
+      batch_p_(p),
+      batch_mp_(geom_.mprime()) {
   SOI_CHECK(n >= 4 && n % 2 == 0, "SoiRealFft: n must be even, got " << n);
   const std::int64_t h = n / 2;
   twiddle_.resize(static_cast<std::size_t>(h));
@@ -27,8 +27,8 @@ SoiRealFft::SoiRealFft(std::int64_t n, std::int64_t p,
   // demod writes zf, untangle reads zf into the caller's bins.
   env_.geom = &geom_;
   env_.table = &table_;
-  env_.batch_p = batch_p_.get();
-  env_.batch_mp = batch_mp_.get();
+  env_.batch_p = &batch_p_;
+  env_.batch_mp = &batch_mp_;
   env_.ranks = 1;
   env_.spr = p;
   env_.has_comm = false;
@@ -46,8 +46,8 @@ SoiRealFft::SoiRealFft(std::int64_t n, std::int64_t p,
   // identity needs a plain half-length complex forward).
   inv_env_.geom = &geom_;
   inv_env_.table = &table_;
-  inv_env_.batch_p = batch_p_.get();
-  inv_env_.batch_mp = batch_mp_.get();
+  inv_env_.batch_p = &batch_p_;
+  inv_env_.batch_mp = &batch_mp_;
   inv_env_.ranks = 1;
   inv_env_.spr = p;
   inv_env_.has_comm = false;

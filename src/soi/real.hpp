@@ -8,11 +8,10 @@
 // the very same translation unit the serial and distributed plans run.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "common/types.hpp"
-#include "fft/engine.hpp"
+#include "fft/batch.hpp"
 #include "soi/breakdown.hpp"
 #include "soi/conv_table.hpp"
 #include "soi/exec.hpp"
@@ -53,8 +52,8 @@ class SoiRealFft {
   win::SoiProfile profile_;
   SoiGeometry geom_;  // half-length complex geometry (n/2, p)
   ConvTable table_;
-  std::unique_ptr<const fft::BatchTransform> batch_p_;
-  std::unique_ptr<const fft::BatchTransform> batch_mp_;
+  fft::BatchFft batch_p_;
+  fft::BatchFft batch_mp_;
   cvec twiddle_;  // exp(-i pi k / (n/2)) untangling factors
   ChainEnvT<double> env_;        // forward chain, z -> zf endpoints
   exec::PipelineT<double> fwd_;  // r2c_pack + chain + r2c_untangle

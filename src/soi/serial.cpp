@@ -10,20 +10,19 @@ namespace soi::core {
 
 template <class Real>
 SoiFftSerialT<Real>::SoiFftSerialT(std::int64_t n, std::int64_t p,
-                                   win::SoiProfile profile,
-                                   const std::string& engine)
+                                   win::SoiProfile profile)
     : profile_(std::move(profile)),
       geom_(n, p, profile_),
       table_(geom_, *profile_.window),
-      batch_p_(fft::make_batch_plan_t<Real>(engine, p)),
-      batch_mp_(fft::make_batch_plan_t<Real>(engine, geom_.mprime())) {
+      batch_p_(p),
+      batch_mp_(geom_.mprime()) {
   // Serial = the shared stage chain under a null comm with all P segments
   // on this "rank": identical stage names and arithmetic to the
   // distributed plan, no communication.
   env_.geom = &geom_;
   env_.table = &table_;
-  env_.batch_p = batch_p_.get();
-  env_.batch_mp = batch_mp_.get();
+  env_.batch_p = &batch_p_;
+  env_.batch_mp = &batch_mp_;
   env_.ranks = 1;
   env_.spr = p;
   env_.has_comm = false;

@@ -13,12 +13,8 @@
 // a preplanned arena, so steady-state forward() allocates nothing.
 #pragma once
 
-#include <memory>
-
-#include <string>
-
 #include "common/types.hpp"
-#include "fft/engine.hpp"
+#include "fft/batch.hpp"
 #include "fft/plan.hpp"
 #include "soi/breakdown.hpp"
 #include "soi/conv_table.hpp"
@@ -44,11 +40,7 @@ namespace soi::core {
 template <class Real>
 class SoiFftSerialT {
  public:
-  /// `engine` names the FFT-engine backend the batched stages run on
-  /// ("" = the process default: $SOI_FFT_ENGINE, else "batch"); unknown
-  /// names throw soi::InvalidArgumentError listing the registered engines.
-  SoiFftSerialT(std::int64_t n, std::int64_t p, win::SoiProfile profile,
-                const std::string& engine = "");
+  SoiFftSerialT(std::int64_t n, std::int64_t p, win::SoiProfile profile);
 
   [[nodiscard]] const SoiGeometry& geometry() const { return geom_; }
   [[nodiscard]] const win::SoiProfile& profile() const { return profile_; }
@@ -94,8 +86,8 @@ class SoiFftSerialT {
   win::SoiProfile profile_;
   SoiGeometry geom_;
   ConvTableT<Real> table_;
-  std::unique_ptr<const fft::BatchTransformT<Real>> batch_p_;   // I_M' (x) F_P
-  std::unique_ptr<const fft::BatchTransformT<Real>> batch_mp_;  // I_P (x) F_M'
+  fft::BatchFftT<Real> batch_p_;   // I_M' (x) F_P
+  fft::BatchFftT<Real> batch_mp_;  // I_P (x) F_M'
   ChainEnvT<Real> env_;
   exec::PipelineT<Real> pipeline_;
   mutable exec::ExecState state_;

@@ -7,7 +7,7 @@
 //   core::SoiFftDist(comm, n, profile)       -> distributed, 1 all-to-all
 //   baseline::SixStepFftDist(comm, n)        -> comparator, 3 all-to-alls
 //   net::run_world / net::TransportRegistry  -> pluggable rank fabrics
-//   fft::EngineRegistry                      -> pluggable FFT executors
+//   fft::BatchFft                            -> batched node-local FFTs
 //   perf::t_soi / perf::speedup              -> Section 7.4 analytic model
 //   tune::autotune / tune::PlanRegistry      -> autotuning, plan cache,
 //   tune::WisdomStore                           persisted tuned decisions
@@ -19,7 +19,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "fft/dft.hpp"
-#include "fft/engine.hpp"
+#include "fft/batch.hpp"
 #include "fft/plan.hpp"
 #include "fft/multi.hpp"
 #include "fft/real.hpp"

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
-#include "fft/engine.hpp"
+#include "fft/batch.hpp"
 #include "net/erasure.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
@@ -61,8 +61,8 @@ template <class Real>
 struct ChainEnvT {
   const SoiGeometry* geom = nullptr;
   const ConvTableT<Real>* table = nullptr;
-  const fft::BatchTransformT<Real>* batch_p = nullptr;
-  const fft::BatchTransformT<Real>* batch_mp = nullptr;
+  const fft::BatchFftT<Real>* batch_p = nullptr;
+  const fft::BatchFftT<Real>* batch_mp = nullptr;
   int ranks = 1;          ///< communicator size (1 for serial)
   std::int64_t spr = 1;   ///< segments computed on this rank
   bool has_comm = false;  ///< false = null comm: serial specialisation

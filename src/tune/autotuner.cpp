@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "fft/engine.hpp"
 #include "net/erasure.hpp"
 #include "net/registry.hpp"
 #include "net/topology.hpp"
@@ -46,14 +45,6 @@ const net::NetworkModel& fabric_for(const TuneOptions& opts,
     return node_local_model();
   }
   return fabric_or_default(opts);
-}
-
-/// Modeled compute-rate multiplier of the candidate's FFT engine
-/// (EngineInfo::compute_scale; 1.0 when unpinned). Unknown engine names
-/// surface the registry's typed error here, at scoring time.
-double engine_scale(const Candidate& cand) {
-  if (cand.engine.empty()) return 1.0;
-  return fft::EngineRegistry::instance().info(cand.engine).compute_scale;
 }
 
 PlanRegistry& registry_or_global(const TuneOptions& opts) {
@@ -208,10 +199,7 @@ CandidateScore score_modeled(const TuneKey& key, const Candidate& cand,
   const core::SoiGeometry g(key.n, key.ranks * cand.segments_per_rank, prof);
   CandidateScore score;
   score.candidate = cand;
-  // The engine's compute_scale multiplies the effective node rate, so
-  // every compute-derived quantity (total, conv share, downstream share)
-  // is repriced consistently per engine.
-  const double rate = opts.node_gflops * 1e9 * engine_scale(cand);
+  const double rate = opts.node_gflops * 1e9;
   score.compute_seconds =
       modeled_compute_flops(g, cand.segments_per_rank) / rate;
   // Shares of the compute that are convolution (the halo's overlap
@@ -274,7 +262,6 @@ CandidateScore score_measured(const TuneKey& key, const Candidate& cand,
     dopts.batch_width = cand.batch_width;
     dopts.chunk_depth = cand.chunk_depth;
     dopts.topology = cand.topology;
-    dopts.engine = cand.engine;
     if (!cand.coding.empty()) {
       (void)net::Coding::parse(cand.coding, &dopts.coding);
     }
@@ -410,14 +397,11 @@ void order_candidates_with_priors(std::vector<Candidate>& candidates,
 
 TuneResult autotune(const TuneKey& key, const TuneOptions& opts) {
   auto candidates = candidate_space(key, opts.max_segments_per_rank);
-  // Pin every candidate to the sweep's backends (stamped BEFORE scoring,
-  // so the scorers price them, and carried into the winning wisdom line —
-  // a decision tuned on one backend never silently replays on another).
-  if (!opts.transport.empty() || !opts.engine.empty()) {
-    for (auto& c : candidates) {
-      c.transport = opts.transport;
-      c.engine = opts.engine;
-    }
+  // Pin every candidate to the sweep's transport (stamped BEFORE scoring,
+  // so the scorers price it, and carried into the winning wisdom line — a
+  // decision tuned on one fabric never silently replays on another).
+  if (!opts.transport.empty()) {
+    for (auto& c : candidates) c.transport = opts.transport;
   }
   if (opts.priors != nullptr) {
     order_candidates_with_priors(candidates, key, *opts.priors);

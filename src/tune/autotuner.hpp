@@ -53,10 +53,6 @@ struct TuneOptions {
   /// the rank team on the named transport (which must report
   /// threaded_world — cross-process fabrics throw InvalidArgumentError).
   std::string transport;
-  /// FFT-engine backend ("" = unpinned). The modeled scorer scales all
-  /// compute by the engine's EngineInfo::compute_scale; the measured
-  /// scorer builds each candidate's plans on this engine.
-  std::string engine;
   /// Repetitions per candidate in kMeasured mode (best-of).
   int reps = 3;
   /// kMeasured + priors: gate the measurement budget by stage priors.

@@ -1,9 +1,11 @@
 #include "tune/candidates.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "net/erasure.hpp"
 #include "net/topology.hpp"
 #include "soi/params.hpp"
@@ -69,10 +71,11 @@ TuneKey parse_tune_key(const std::string& text) {
   bool have_n = false, have_ranks = false, have_acc = false;
   for (const auto& [k, v] : kv_pairs(text, "parse_tune_key")) {
     if (k == "n") {
-      key.n = std::stoll(v);
+      key.n = parse_int(v, "parse_tune_key: n");
       have_n = true;
     } else if (k == "ranks") {
-      key.ranks = std::stoi(v);
+      key.ranks = static_cast<int>(parse_int(
+          v, "parse_tune_key: ranks", 1, std::numeric_limits<int>::max()));
       have_ranks = true;
     } else if (k == "acc") {
       key.accuracy = accuracy_from_name(v);
@@ -97,11 +100,10 @@ std::string Candidate::describe() const {
      << " cd=" << chunk_depth;
   // The topo token is emitted only for non-flat schedules, so flat
   // candidates keep the exact pre-v4 text (older readers and tests see
-  // unchanged lines). Likewise the v5 backend tokens appear only when a
-  // decision is pinned to a named transport / engine.
+  // unchanged lines). Likewise the v5 transport token appears only when a
+  // decision is pinned to a named transport.
   if (!topology.empty() && topology != "flat") os << " topo=" << topology;
   if (!transport.empty()) os << " transport=" << transport;
-  if (!engine.empty()) os << " engine=" << engine;
   // v6 token, emitted only when the exchange is coded — uncoded lines stay
   // byte-identical to v5 output.
   if (!coding.empty()) os << " code=" << coding;
@@ -117,7 +119,7 @@ Candidate parse_candidate(const std::string& text) {
       c.accuracy = accuracy_from_name(v);
       have_tier = true;
     } else if (k == "spr") {
-      c.segments_per_rank = std::stoll(v);
+      c.segments_per_rank = parse_int(v, "parse_candidate: spr");
       have_spr = true;
     } else if (k == "algo") {
       if (v == "pairwise") {
@@ -129,14 +131,16 @@ Candidate parse_candidate(const std::string& text) {
       }
       have_algo = true;
     } else if (k == "overlap") {
-      c.overlap = v != "0";
+      SOI_CHECK(v == "0" || v == "1",
+                "parse_candidate: overlap must be 0 or 1, got '" << v << "'");
+      c.overlap = v == "1";
       have_overlap = true;
     } else if (k == "bw") {
       // Optional (absent in v1 wisdom lines; defaults to 0 = auto).
-      c.batch_width = std::stoll(v);
+      c.batch_width = parse_int(v, "parse_candidate: bw");
     } else if (k == "cd") {
       // Optional (absent before v3 wisdom; defaults to 1 = unchunked).
-      c.chunk_depth = std::stoll(v);
+      c.chunk_depth = parse_int(v, "parse_candidate: cd");
     } else if (k == "topo") {
       // Optional (absent before v4 wisdom and for flat candidates).
       // Syntactic validation only — the rank count is not known here; a
@@ -153,8 +157,13 @@ Candidate parse_candidate(const std::string& text) {
       // backends still parses everywhere.
       c.transport = v;
     } else if (k == "engine") {
-      // Optional (absent before v5 wisdom and for unpinned decisions).
-      c.engine = v;
+      // v5/v6 lines may pin the FFT engine. "batch" is the only engine,
+      // so that pin reads as unpinned; any other name cannot be replayed.
+      if (v != "batch") {
+        throw InvalidArgumentError("parse_candidate: unknown FFT engine '" +
+                                   v + "' in '" + text +
+                                   "' (the only engine is 'batch')");
+      }
     } else if (k == "code") {
       // Optional (absent before v6 wisdom and for uncoded candidates).
       net::Coding code;
@@ -248,7 +257,7 @@ std::vector<Candidate> candidate_space(const TuneKey& key,
                     continue;
                   }
                   out.push_back(Candidate{tier, spr, algo, overlap, bw, cd,
-                                          topo, {}, {}, code});
+                                          topo, {}, code});
                 }
               }
             }

@@ -67,8 +67,6 @@ struct Candidate {
   /// is never silently replayed on another; new fields stay trailing —
   /// candidate_space() aggregate-initialises the prefix.
   std::string transport;
-  /// FFT-engine backend (fft::EngineRegistry name; "" = unpinned).
-  std::string engine;
   /// Erasure-coded exchange redundancy ("k+r", DistOptions::coding /
   /// net::Coding syntax; "" = coding off, retransmit-only). Trailing field
   /// of wisdom v6; prior-version lines parse with it defaulted off.
@@ -76,10 +74,9 @@ struct Candidate {
 
   /// Canonical text form, e.g.
   /// "tier=full spr=2 algo=direct overlap=1 bw=0 cd=1"; a non-flat
-  /// topology appends " topo=<shape>", pinned backends append
-  /// " transport=<name>" / " engine=<name>" (wisdom v5), and a coded
-  /// exchange appends " code=<k+r>" (wisdom v6). Round-trips through
-  /// parse_candidate().
+  /// topology appends " topo=<shape>", a pinned transport appends
+  /// " transport=<name>" (wisdom v5), and a coded exchange appends
+  /// " code=<k+r>" (wisdom v6). Round-trips through parse_candidate().
   [[nodiscard]] std::string describe() const;
 
   bool operator==(const Candidate& o) const {
@@ -88,13 +85,14 @@ struct Candidate {
            alltoall_algo == o.alltoall_algo && overlap == o.overlap &&
            batch_width == o.batch_width && chunk_depth == o.chunk_depth &&
            topology == o.topology && transport == o.transport &&
-           engine == o.engine && coding == o.coding;
+           coding == o.coding;
   }
 };
 
 /// Parse the output of Candidate::describe(); throws soi::Error. Accepts
 /// older wisdom lines that predate the bw / cd fields (both default — 0
-/// auto width, depth 1).
+/// auto width, depth 1), and v5/v6 lines' "engine=batch" pin (read as
+/// unpinned; any other engine throws soi::InvalidArgumentError).
 Candidate parse_candidate(const std::string& text);
 
 /// Lowercase preset name ("full", "high", "medium", "low").

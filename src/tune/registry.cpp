@@ -46,37 +46,11 @@ std::shared_ptr<const core::ConvTable> PlanRegistry::conv_table(
 }
 
 std::shared_ptr<const core::SoiFftSerial> PlanRegistry::serial_plan(
-    std::int64_t n, std::int64_t p, const win::SoiProfile& prof,
-    const std::string& engine) {
-  // Keys carry the RESOLVED engine name: "" and the default's explicit
-  // name must alias (same plan), and a plan built on one executor must
-  // never satisfy a lookup for another.
-  const std::string eng = engine.empty() ? fft::default_engine() : engine;
+    std::int64_t n, std::int64_t p, const win::SoiProfile& prof) {
   std::ostringstream key;
-  key << "serial:n=" << n << ":p=" << p << ":eng=" << eng << ':'
-      << profile_cache_key(prof);
+  key << "serial:n=" << n << ":p=" << p << ':' << profile_cache_key(prof);
   return get_or_build<core::SoiFftSerial>(key.str(), [&] {
-    return std::make_shared<const core::SoiFftSerial>(n, p, prof, eng);
-  });
-}
-
-std::shared_ptr<const fft::BatchFft> PlanRegistry::batch_plan(
-    std::int64_t n, std::int64_t width) {
-  std::ostringstream key;
-  key << "batch:n=" << n << ":w=" << width;
-  return get_or_build<fft::BatchFft>(key.str(), [n, width] {
-    return std::make_shared<const fft::BatchFft>(n, width);
-  });
-}
-
-std::shared_ptr<const fft::BatchTransform> PlanRegistry::batch_transform(
-    const std::string& engine, std::int64_t n, std::int64_t width) {
-  const std::string eng = engine.empty() ? fft::default_engine() : engine;
-  std::ostringstream key;
-  key << "engine:" << eng << ":n=" << n << ":w=" << width;
-  return get_or_build<fft::BatchTransform>(key.str(), [&] {
-    return std::shared_ptr<const fft::BatchTransform>(
-        fft::make_batch_plan(eng, n, width));
+    return std::make_shared<const core::SoiFftSerial>(n, p, prof);
   });
 }
 

@@ -40,8 +40,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "fft/batch.hpp"
-#include "fft/engine.hpp"
 #include "soi/conv_table.hpp"
 #include "soi/serial.hpp"
 #include "window/design.hpp"
@@ -62,26 +60,9 @@ class PlanRegistry {
   std::shared_ptr<const core::ConvTable> conv_table(
       std::int64_t n, std::int64_t p, const win::SoiProfile& prof);
 
-  /// Complete serial plan for (n, p, profile) on the named FFT engine
-  /// ("" = the session default, fft::default_engine()). The resolved
-  /// engine name is part of the cache key, so a plan built on one
-  /// executor is never handed to a caller asking for another.
+  /// Complete serial plan for (n, p, profile).
   std::shared_ptr<const core::SoiFftSerial> serial_plan(
-      std::int64_t n, std::int64_t p, const win::SoiProfile& prof,
-      const std::string& engine = "");
-
-  /// Batched SoA FFT executor for length-`n` transforms at the given batch
-  /// width (0 = auto from the SIMD tier). The executor owns the SoA twiddle
-  /// layout for every pass, which dominates its construction cost — sharing
-  /// one instance across plans of the same shape memoises that layout.
-  std::shared_ptr<const fft::BatchFft> batch_plan(std::int64_t n,
-                                                  std::int64_t width = 0);
-
-  /// Engine-generic counterpart of batch_plan(): a batched transform built
-  /// through fft::EngineRegistry, keyed by the resolved engine name
-  /// ("" = default) alongside the shape.
-  std::shared_ptr<const fft::BatchTransform> batch_transform(
-      const std::string& engine, std::int64_t n, std::int64_t width = 0);
+      std::int64_t n, std::int64_t p, const win::SoiProfile& prof);
 
   /// Generic memoisation used by the typed getters: returns the cached
   /// value for `key` or runs `build` (exactly once per key, outside the

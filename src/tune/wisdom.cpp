@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace soi::tune {
 
@@ -73,7 +74,7 @@ std::vector<std::pair<std::string, double>> parse_stage_seconds(
     SOI_CHECK(colon != std::string::npos && colon > 0,
               "wisdom: malformed stages field in '" << line << "'");
     out.emplace_back(item.substr(0, colon),
-                     std::stod(item.substr(colon + 1)));
+                     parse_double(item.substr(colon + 1), "wisdom: stages"));
     pos = comma + 1;
   }
   return out;
@@ -104,7 +105,7 @@ WisdomStore WisdomStore::parse(const std::string& text) {
     cfg.candidate = parse_candidate(fields[1]);
     SOI_CHECK(fields[2].rfind("score=", 0) == 0,
               "wisdom: expected score field, got '" << fields[2] << "'");
-    cfg.score_seconds = std::stod(fields[2].substr(6));
+    cfg.score_seconds = parse_double(fields[2].substr(6), "wisdom: score");
     // fields[3] holds the line's remainder: the profile, optionally
     // followed by the v3 " | stages=..." field.
     std::string profile_text = fields[3];

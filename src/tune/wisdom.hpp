@@ -19,8 +19,9 @@
 // field — emitted only for coded decisions, so uncoded lines are
 // byte-identical to v5's. v5 added the candidate's optional transport /
 // engine backend fields — emitted only for decisions pinned to a named
-// backend, so unpinned lines are byte-identical to v4's. v4 added the
-// candidate's optional topo (exchange topology) field — emitted only for
+// backend, so unpinned lines are byte-identical to v4's. The engine field
+// is no longer written; a legacy "engine=batch" reads as unpinned and any
+// other engine is rejected. v4 added the candidate's optional topo (exchange topology) field — emitted only for
 // non-flat schedules, so flat lines are byte-identical to v3's. v3 added
 // the candidate's cd (chunk depth) field and the optional stages field.
 // v2 added bw (SoA batch width). v1–v5 files are still READ (their

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace soi::win {
 
@@ -302,22 +303,23 @@ SoiProfile parse_profile(const std::string& text) {
     SOI_CHECK(eq != std::string::npos, "parse_profile: bad token " << tok);
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
+    const std::string what = "parse_profile: " + key;
     if (key == "name") {
       p.name = val;
     } else if (key == "mu") {
-      p.mu = std::stoll(val);
+      p.mu = parse_int(val, what);
     } else if (key == "nu") {
-      p.nu = std::stoll(val);
+      p.nu = parse_int(val, what);
     } else if (key == "taps") {
-      p.taps = std::stoll(val);
+      p.taps = parse_int(val, what);
     } else if (key == "snr") {
-      p.target_snr = std::stod(val);
+      p.target_snr = parse_double(val, what);
     } else if (key == "kappa") {
-      p.kappa = std::stod(val);
+      p.kappa = parse_double(val, what);
     } else if (key == "alias") {
-      p.eps_alias = std::stod(val);
+      p.eps_alias = parse_double(val, what);
     } else if (key == "trunc") {
-      p.eps_trunc = std::stod(val);
+      p.eps_trunc = parse_double(val, what);
     } else if (key == "window") {
       window_spec = val;
     } else {
@@ -329,21 +331,27 @@ SoiProfile parse_profile(const std::string& text) {
   SOI_CHECK(c1 != std::string::npos, "parse_profile: bad window spec");
   const std::string family = window_spec.substr(0, c1);
   const std::string params = window_spec.substr(c1 + 1);
-  if (family == "gauss-rect") {
-    const auto c2 = params.find(':');
-    SOI_CHECK(c2 != std::string::npos, "parse_profile: gauss-rect needs tau:sigma");
-    p.window = std::make_shared<GaussSmoothedRect>(
-        std::stod(params.substr(0, c2)), std::stod(params.substr(c2 + 1)));
-  } else if (family == "gaussian") {
-    p.window = std::make_shared<GaussianWindow>(std::stod(params));
-  } else if (family == "bspline") {
-    p.window = std::make_shared<BSplineWindow>(std::stoi(params));
-  } else if (family == "kaiser-bessel") {
+  const std::string what = "parse_profile: " + family + " window";
+  // Two ':'-separated window parameters, e.g. gauss-rect's tau:sigma.
+  const auto param_pair = [&](const char* shape) {
     const auto c2 = params.find(':');
     SOI_CHECK(c2 != std::string::npos,
-              "parse_profile: kaiser-bessel needs b:c");
-    p.window = std::make_shared<KaiserBesselWindow>(
-        std::stod(params.substr(0, c2)), std::stod(params.substr(c2 + 1)));
+              "parse_profile: " << family << " needs " << shape);
+    return std::pair{parse_double(params.substr(0, c2), what),
+                     parse_double(params.substr(c2 + 1), what)};
+  };
+  if (family == "gauss-rect") {
+    const auto [tau, sigma] = param_pair("tau:sigma");
+    p.window = std::make_shared<GaussSmoothedRect>(tau, sigma);
+  } else if (family == "gaussian") {
+    p.window = std::make_shared<GaussianWindow>(parse_double(params, what));
+  } else if (family == "bspline") {
+    // The constructor range-checks the order; this guards the narrowing.
+    p.window = std::make_shared<BSplineWindow>(static_cast<int>(
+        parse_int(params, what, 0, std::numeric_limits<int>::max())));
+  } else if (family == "kaiser-bessel") {
+    const auto [b, c] = param_pair("b:c");
+    p.window = std::make_shared<KaiserBesselWindow>(b, c);
   } else {
     throw Error("parse_profile: unknown window family " + family);
   }

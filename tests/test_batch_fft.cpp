@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fft/batch.hpp"
+#include "fft/engine.hpp"
 #include "fft/factor.hpp"
 #include "fft/plan.hpp"
 #include "fft/simd.hpp"
@@ -93,8 +95,8 @@ TEST(BatchSchedule, ProductInvariant) {
 
 TEST(BatchFftParity, SmoothSizesBothSigns) {
   // Radix mixes: pure 2^k (radix-8 paths), 2*3*5 composites, generic 7/11/13.
-  for (std::int64_t n : {2, 4, 8, 16, 64, 256, 512, 6, 12, 30, 60, 360, 7, 14,
-                         77, 91, 143}) {
+  for (std::int64_t n : {2, 4, 8, 16, 64, 256, 512, 6, 12, 30, 60, 360, 384,
+                         7, 14, 77, 91, 143}) {
     expect_parity(n, 5, 0, false);
     expect_parity(n, 5, 0, true);
   }
@@ -147,6 +149,15 @@ TEST(BatchFft, RoundTripRestoresInput) {
     batch.inverse(f, r, count);
     EXPECT_LT(max_err(r, x), tol_for(n)) << "n=" << n;
   }
+}
+
+TEST(BatchFft, NamedPlanAcceptsOnlyBatch) {
+  // make_batch_plan is the by-name entry point: "" and "batch" build the
+  // one executor, every other name is a typed error.
+  EXPECT_EQ(make_batch_plan("", 8)->size(), 8);
+  EXPECT_EQ(make_batch_plan("batch", 8, 4)->batch_width(), 4);
+  EXPECT_THROW((void)make_batch_plan("scalar", 8), InvalidArgumentError);
+  EXPECT_THROW((void)make_batch_plan("fftw", 8), InvalidArgumentError);
 }
 
 // --- float instantiation ---------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -29,21 +30,27 @@ cplx val(int a, int b) { return {static_cast<double>(a), static_cast<double>(b)}
 
 TEST(WireLatency, DelaysVisibilityButNotPayloads) {
   // A 2 ms emulated wire: the receiver must sleep out the flight time
-  // (elapsed >= latency) yet see exactly the bytes that were sent.
+  // (recv completes >= latency after the send) yet see exactly the bytes
+  // that were sent. The flight is timed from the send itself: a receiver
+  // that reaches recv late has already waited part of it.
   NetOptions opts;
   opts.wire_latency_us = 2000;
-  run_ranks(2, opts, [](Comm& c) {
+  using Clock = std::chrono::steady_clock;
+  std::atomic<Clock::rep> sent_at{0};
+  run_ranks(2, opts, [&sent_at](Comm& c) {
     if (c.rank() == 0) {
       cvec data = {val(5, 6)};
       Timer t;
+      sent_at.store(Clock::now().time_since_epoch().count());
       c.send(1, 3, data);
       // The sender never blocks on the wire (buffered semantics).
       EXPECT_LT(t.seconds(), 1e-3);
     } else {
       cvec got(1);
-      Timer t;
       c.recv(0, 3, got);
-      EXPECT_GE(t.seconds(), 1.5e-3);
+      const Clock::duration flight =
+          Clock::now().time_since_epoch() - Clock::duration(sent_at.load());
+      EXPECT_GE(std::chrono::duration<double>(flight).count(), 1.5e-3);
       EXPECT_EQ(got[0], val(5, 6));
     }
   });

@@ -6,14 +6,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "net/costmodel.hpp"
+#include "net/fault.hpp"
+#include "net/topology.hpp"
 #include "soi/params.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/candidates.hpp"
@@ -32,7 +39,7 @@ TEST(Candidates, KeyAndCandidateRoundTrip) {
   EXPECT_EQ(parse_tune_key(key.str()), key);
 
   const Candidate cand{win::Accuracy::kLow, 4, net::AlltoallAlgo::kDirect,
-                       true, 16, 2, {}, {}, {}, {}};
+                       true, 16, 2, {}, {}, {}};
   EXPECT_EQ(cand.describe(),
             "tier=low spr=4 algo=direct overlap=1 bw=16 cd=2");
   EXPECT_EQ(parse_candidate(cand.describe()), cand);
@@ -78,7 +85,7 @@ TEST(Candidates, DefaultConfigurationLeadsTheEnumeration) {
   // The seed's hard-coded configuration must be first: it is the tuner's
   // tie-break anchor ("tuned never worse than default").
   const Candidate dflt{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false,
-                       0, 1, {}, {}, {}, {}};
+                       0, 1, {}, {}, {}};
   EXPECT_EQ(space.front(), dflt);
 }
 
@@ -140,7 +147,7 @@ TEST(Candidates, TopologyRoundTripsAndFlatTextUnchanged) {
   // token); non-flat candidates append one and round-trip through
   // parse_candidate.
   Candidate cand{win::Accuracy::kLow, 6, net::AlltoallAlgo::kPairwise,
-                 true, 0, 3, "two-level:4", {}, {}, {}};
+                 true, 0, 3, "two-level:4", {}, {}};
   EXPECT_EQ(cand.describe(),
             "tier=low spr=6 algo=pairwise overlap=1 bw=0 cd=3 topo=two-level:4");
   EXPECT_EQ(parse_candidate(cand.describe()), cand);
@@ -264,43 +271,6 @@ TEST(Registry, SerialPlanSharedAndReused) {
   EXPECT_NE(a.get(), other.get());
 }
 
-TEST(Registry, BatchPlanSharedAndKeyedOnWidth) {
-  PlanRegistry reg(8);
-  const auto a = reg.batch_plan(256);
-  const auto b = reg.batch_plan(256);
-  EXPECT_EQ(a.get(), b.get());  // memoised SoA twiddle layout
-  EXPECT_EQ(a->size(), 256);
-  const auto wide = reg.batch_plan(256, 32);
-  EXPECT_NE(a.get(), wide.get());  // width is part of the key
-  EXPECT_EQ(wide->batch_width(), 32);
-}
-
-TEST(Registry, SerialPlanKeyCarriesResolvedEngine) {
-  // "" and the default engine's explicit name must alias to ONE cached
-  // plan; a different engine is a different key — a plan built on one
-  // executor is never handed to a caller asking for another.
-  PlanRegistry reg(8);
-  const auto prof = reg.profile(win::Accuracy::kLow);
-  const auto dflt = reg.serial_plan(1 << 12, 4, *prof);
-  const auto named = reg.serial_plan(1 << 12, 4, *prof, fft::default_engine());
-  EXPECT_EQ(dflt.get(), named.get());
-  const auto scalar = reg.serial_plan(1 << 12, 4, *prof, "scalar");
-  EXPECT_NE(dflt.get(), scalar.get());
-  EXPECT_THROW((void)reg.serial_plan(1 << 12, 4, *prof, "no-such-engine"),
-               InvalidArgumentError);
-}
-
-TEST(Registry, BatchTransformKeyedByEngine) {
-  PlanRegistry reg(8);
-  const auto a = reg.batch_transform("batch", 256);
-  const auto b = reg.batch_transform("", 256);  // "" resolves to the default
-  EXPECT_EQ(a.get(), b.get());
-  const auto scalar = reg.batch_transform("scalar", 256);
-  EXPECT_NE(a.get(), scalar.get());
-  EXPECT_EQ(scalar->size(), 256);
-  EXPECT_EQ(scalar->batch_width(), 1);  // one transform at a time
-}
-
 TEST(Registry, LruEvictionDropsColdestEntry) {
   PlanRegistry reg(2);
   auto build_counting = [](std::atomic<int>& n) {
@@ -369,7 +339,7 @@ TunedConfig demo_config() {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kLow, 2,
                             net::AlltoallAlgo::kDirect, true, 8, 1, {}, {},
-                            {}, {}};
+                            {}};
   cfg.profile = win::make_profile(win::Accuracy::kLow);
   cfg.score_seconds = 1.25e-3;
   return cfg;
@@ -501,7 +471,7 @@ TEST(Wisdom, V4TopologyAndDeepChunksRoundTrip) {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kMedium, 6,
                             net::AlltoallAlgo::kPairwise, true, 0, 3,
-                            "torus:2x2x1", {}, {}, {}};
+                            "torus:2x2x1", {}, {}};
   cfg.profile = win::make_profile(win::Accuracy::kMedium);
   cfg.score_seconds = 4.5e-4;
   store.put(key, cfg);
@@ -514,10 +484,10 @@ TEST(Wisdom, V4TopologyAndDeepChunksRoundTrip) {
 }
 
 TEST(Wisdom, V4FilesStillReadable) {
-  // A v4 file: v4 header, no transport/engine tokens. Entries without
-  // backend pins serialize byte-identically across v4/v5, so swapping the
-  // header alone yields a valid v4 file. It must parse with empty backend
-  // pins and re-serialise at the current version.
+  // A v4 file: v4 header, no transport token. Entries without a
+  // transport pin serialize byte-identically across v4/v5, so swapping the
+  // header alone yields a valid v4 file. It must parse with an empty
+  // transport pin and re-serialise at the current version.
   WisdomStore store;
   const TuneKey key{1 << 14, 4, win::Accuracy::kLow};
   store.put(key, demo_config());
@@ -529,31 +499,66 @@ TEST(Wisdom, V4FilesStillReadable) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->candidate, demo_config().candidate);
   EXPECT_TRUE(got->candidate.transport.empty());
-  EXPECT_TRUE(got->candidate.engine.empty());
   EXPECT_EQ(reparsed.serialize().rfind(WisdomStore::kHeader, 0), 0u);
 }
 
 TEST(Wisdom, V5BackendPinsRoundTrip) {
-  // The v5 additions: a decision pinned to a transport and an FFT engine
-  // survives a serialize/parse cycle, and the tokens appear in the text.
+  // The v5 addition: a decision pinned to a transport survives a
+  // serialize/parse cycle, and the token appears in the text. Writers
+  // never emit the legacy engine= token.
   WisdomStore store;
   const TuneKey key{1 << 16, 8, win::Accuracy::kMedium};
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kMedium, 4,
                             net::AlltoallAlgo::kDirect, true, 0, 2,
-                            "", "shm", "scalar", {}};
+                            "", "shm", {}};
   cfg.profile = win::make_profile(win::Accuracy::kMedium);
   cfg.score_seconds = 2.5e-4;
   store.put(key, cfg);
   const std::string text = store.serialize();
   EXPECT_NE(text.find("transport=shm"), std::string::npos);
-  EXPECT_NE(text.find("engine=scalar"), std::string::npos);
+  EXPECT_EQ(text.find("engine="), std::string::npos);
   const auto reparsed = WisdomStore::parse(text);
   const auto got = reparsed.find(key);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->candidate, cfg.candidate);
   EXPECT_EQ(got->candidate.transport, "shm");
-  EXPECT_EQ(got->candidate.engine, "scalar");
+}
+
+TEST(Wisdom, LegacyEngineBatchPinReadsAsUnpinned) {
+  // v5/v6 writers emitted engine=<name> for engine-pinned decisions.
+  // "batch" is the only engine, so that pin reads as unpinned and the
+  // line re-serialises without it.
+  WisdomStore store;
+  const TuneKey key{1 << 14, 4, win::Accuracy::kLow};
+  store.put(key, demo_config());
+  std::string text = store.serialize();
+  const std::string cand = demo_config().candidate.describe();
+  const auto at = text.find(cand);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + cand.size(), " transport=sim engine=batch");
+  const auto got = WisdomStore::parse(text).find(key);
+  ASSERT_TRUE(got.has_value());
+  Candidate want = demo_config().candidate;
+  want.transport = "sim";
+  EXPECT_EQ(got->candidate, want);
+  EXPECT_EQ(WisdomStore::parse(text).serialize().find("engine="),
+            std::string::npos);
+}
+
+TEST(Wisdom, LegacyNonBatchEnginePinRejected) {
+  // A legacy line pinned to any other engine cannot be replayed: a typed
+  // error, never a silent fallback.
+  WisdomStore store;
+  store.put(TuneKey{1 << 14, 4, win::Accuracy::kLow}, demo_config());
+  std::string text = store.serialize();
+  const std::string cand = demo_config().candidate.describe();
+  const auto at = text.find(cand);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at + cand.size(), " engine=scalar");
+  EXPECT_THROW((void)WisdomStore::parse(text), InvalidArgumentError);
+  EXPECT_THROW((void)parse_candidate(cand + " engine=scalar"),
+               InvalidArgumentError);
 }
 
 TEST(Wisdom, UnpinnedEntriesCarryNoBackendTokens) {
@@ -575,7 +580,7 @@ TEST(Wisdom, V6CodingRoundTrip) {
   TunedConfig cfg;
   cfg.candidate = Candidate{win::Accuracy::kMedium, 2,
                             net::AlltoallAlgo::kPairwise, true, 0, 2,
-                            "two-level:2", "", "", "4+1"};
+                            "two-level:2", "", "4+1"};
   cfg.profile = win::make_profile(win::Accuracy::kMedium);
   cfg.score_seconds = 3.0e-4;
   store.put(key, cfg);
@@ -675,7 +680,7 @@ TEST(Autotune, WinnerIsNeverWorseThanDefault) {
         TuneKey{1 << 16, 16, win::Accuracy::kMedium}}) {
     const auto result = autotune(key);
     const Candidate dflt{key.accuracy, 1, net::AlltoallAlgo::kPairwise,
-                         false, 0, 1, {}, {}, {}, {}};
+                         false, 0, 1, {}, {}, {}};
     const auto dflt_score = score_candidate(key, dflt);
     EXPECT_LE(result.best.total_seconds(), dflt_score.total_seconds())
         << key.str();
@@ -690,7 +695,7 @@ TEST(Autotune, RetransmitPricingReordersCandidatesUnderLoss) {
   // per message while the coded one absorbs losses in band.
   const TuneKey key{1 << 16, 8, win::Accuracy::kLow};
   Candidate uncoded{key.accuracy, 1, net::AlltoallAlgo::kPairwise, false,
-                    0, 1, {}, {}, {}, {}};
+                    0, 1, {}, {}, {}};
   Candidate coded = uncoded;
   coded.coding = "4+1";
 
@@ -815,7 +820,7 @@ TEST(Autotune, ChunkedOverlapNeverPricedSlowerThanUnchunked) {
   // behind downstream compute, never adds exposed time.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
   Candidate cand{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 1,
-                 {}, {}, {}, {}};
+                 {}, {}, {}};
   const double base = score_candidate(key, cand).total_seconds();
   for (const std::int64_t cd : {std::int64_t{2}, std::int64_t{4}}) {
     cand.chunk_depth = cd;
@@ -832,7 +837,7 @@ TEST(Autotune, TwoLevelSchedulePricedFasterThanFlatPairwise) {
   // candidate on the flat schedule.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
   Candidate flat{key.accuracy, 4, net::AlltoallAlgo::kPairwise, true, 0, 2,
-                 {}, {}, {}, {}};
+                 {}, {}, {}};
   Candidate staged = flat;
   staged.topology = "two-level:2";
   EXPECT_LT(score_candidate(key, staged).total_seconds(),
@@ -850,7 +855,7 @@ TEST(Autotune, TwoLevelSchedulePricedFasterThanFlatPairwise) {
   opts.fabric = &slow_fabric;
   const TuneKey small{1 << 14, 8, win::Accuracy::kLow};
   Candidate small_flat{small.accuracy, 1, net::AlltoallAlgo::kPairwise,
-                       false, 0, 1, {}, {}, {}, {}};
+                       false, 0, 1, {}, {}, {}};
   Candidate small_torus = small_flat;
   small_torus.topology = "torus:2x2x2";
   EXPECT_LT(score_candidate(small, small_torus, opts).total_seconds(),
@@ -870,36 +875,16 @@ TEST(Autotune, TunedConfigCachesInWisdom) {
 }
 
 TEST(Autotune, BackendSelectionStampsEveryCandidate) {
-  // TuneOptions::transport/engine propagate onto every scored candidate,
-  // so the winner lands in wisdom carrying the backends it was priced for.
+  // TuneOptions::transport propagates onto every scored candidate, so the
+  // winner lands in wisdom carrying the transport it was priced for.
   const TuneKey key{1 << 16, 8, win::Accuracy::kLow};
   TuneOptions opts;
   opts.transport = "shm";
-  opts.engine = "scalar";
   const auto result = autotune(key, opts);
   EXPECT_EQ(result.best.candidate.transport, "shm");
-  EXPECT_EQ(result.best.candidate.engine, "scalar");
   for (const auto& sc : result.scores) {
     EXPECT_EQ(sc.candidate.transport, "shm");
-    EXPECT_EQ(sc.candidate.engine, "scalar");
   }
-}
-
-TEST(Autotune, ScalarEnginePricedSlowerThanBatch) {
-  // The modeled scorer divides node throughput by the engine's
-  // compute_scale: the scalar executor (scale < 1) must price every
-  // candidate's compute strictly above the batch executor's.
-  const TuneKey key{1 << 16, 8, win::Accuracy::kLow};
-  Candidate batch_cand{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false,
-                       0, 1, {}, {}, {}, {}};
-  Candidate scalar_cand = batch_cand;
-  batch_cand.engine = "batch";
-  scalar_cand.engine = "scalar";
-  const auto batch_score = score_candidate(key, batch_cand);
-  const auto scalar_score = score_candidate(key, scalar_cand);
-  EXPECT_GT(scalar_score.compute_seconds, batch_score.compute_seconds);
-  // The exchange bytes do not depend on the engine.
-  EXPECT_DOUBLE_EQ(scalar_score.comm_seconds, batch_score.comm_seconds);
 }
 
 TEST(Autotune, ShmTransportPricedOnNodeLocalFabric) {
@@ -908,7 +893,7 @@ TEST(Autotune, ShmTransportPricedOnNodeLocalFabric) {
   // the exchange cheaper than the default cluster fat tree.
   const TuneKey key{1 << 18, 8, win::Accuracy::kLow};
   Candidate cluster{key.accuracy, 2, net::AlltoallAlgo::kPairwise, false,
-                    0, 1, {}, {}, {}, {}};
+                    0, 1, {}, {}, {}};
   Candidate local = cluster;
   local.transport = "shm";
   const auto cluster_score = score_candidate(key, cluster);
@@ -1011,6 +996,149 @@ TEST(Autotune, MeasuredModeRejectsCrossProcessTransport) {
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("shm"), std::string::npos)
         << e.what();
+  }
+}
+
+// --- strict number parsing on every text surface ---------------------------
+
+/// `text` with junk appended to the value that follows `key` (the value
+/// ends at the next blank, newline or end of text).
+std::string with_junk(std::string text, const std::string& key) {
+  const auto at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << key << " not in " << text;
+  const auto end = text.find_first_of(" \n", at + key.size());
+  text.insert(end == std::string::npos ? text.size() : end, "x");
+  return text;
+}
+
+TEST(StrictParsers, MalformedNumbersThrowAndValidTextRoundTrips) {
+  // Every parser that reads numbers from text goes through
+  // common/parse.hpp. Each row names a surface, an input and whether it is
+  // valid: a valid input must come back unchanged through the surface's
+  // own writer, a malformed one must throw soi::Error (never a std::
+  // exception, never a silent partial parse).
+  using Reparse = std::function<std::string(const std::string&)>;
+  const std::map<std::string, Reparse> surfaces = {
+      {"int",
+       [](const std::string& t) { return std::to_string(parse_int(t, "t")); }},
+      {"int32",
+       [](const std::string& t) {
+         return std::to_string(parse_int(t, "t",
+                                         std::numeric_limits<int>::min(),
+                                         std::numeric_limits<int>::max()));
+       }},
+      {"double",
+       [](const std::string& t) {
+         std::ostringstream os;
+         os.precision(17);
+         os << parse_double(t, "t");
+         return os.str();
+       }},
+      {"tune_key", [](const std::string& t) { return parse_tune_key(t).str(); }},
+      {"candidate",
+       [](const std::string& t) { return parse_candidate(t).describe(); }},
+      {"topology",
+       [](const std::string& t) { return net::Topology::parse(t, 8).str(); }},
+      {"fault_spec",
+       [](const std::string& t) { return net::FaultSpec::parse(t).str(); }},
+      {"profile",
+       [](const std::string& t) {
+         return win::serialize_profile(win::parse_profile(t));
+       }},
+      {"wisdom",
+       [](const std::string& t) { return WisdomStore::parse(t).serialize(); }},
+  };
+
+  const std::string profile =
+      win::serialize_profile(win::make_profile(win::Accuracy::kLow));
+  WisdomStore store;
+  TunedConfig staged = demo_config();
+  staged.stage_seconds = {{"halo", 0.25}, {"conv", 0.5}};
+  store.put(TuneKey{1 << 14, 4, win::Accuracy::kLow}, staged);
+  const std::string wisdom = store.serialize();
+
+  struct Row {
+    const char* surface;
+    std::string text;
+    bool valid;
+  };
+  const std::vector<Row> rows = {
+      {"int", "0", true},
+      {"int", "-7", true},
+      {"int", "9223372036854775807", true},
+      {"int", "", false},
+      {"int", "4096x", false},
+      {"int", " 12", false},
+      {"int", "12 ", false},
+      {"int", "+5", false},
+      {"int", "1.5", false},
+      {"int", "0x10", false},
+      {"int", "99999999999999999999", false},
+      {"int32", "2147483647", true},
+      {"int32", "-2147483648", true},
+      {"int32", "2147483648", false},
+      {"int32", "4294967300", false},
+      {"double", "0.25", true},
+      {"double", "-3", true},
+      {"double", "6.103515625e-05", true},
+      {"double", "", false},
+      {"double", "0.25x", false},
+      {"double", "nan", false},
+      {"double", "inf", false},
+      {"double", "1e999", false},
+      {"double", " 1", false},
+      {"tune_key", "n=65536 ranks=8 acc=full", true},
+      {"tune_key", "n=4096x ranks=8 acc=full", false},
+      {"tune_key", "n=abc ranks=8 acc=full", false},
+      {"tune_key", "n=99999999999999999999 ranks=8 acc=full", false},
+      {"tune_key", "n=65536 ranks=8x acc=full", false},
+      {"tune_key", "n=65536 ranks=99999999999 acc=full", false},
+      {"tune_key", "n=65536 ranks=-4294967295 acc=full", false},
+      {"candidate", "tier=full spr=2 algo=direct overlap=1 bw=0 cd=1", true},
+      {"candidate",
+       "tier=low spr=4 algo=pairwise overlap=1 bw=0 cd=2 topo=two-level:2 "
+       "transport=shm code=4+1",
+       true},
+      {"candidate", "tier=full spr=2x algo=direct overlap=1 bw=0 cd=1", false},
+      {"candidate", "tier=full spr=x algo=direct overlap=1 bw=0 cd=1", false},
+      {"candidate", "tier=full spr=2 algo=direct overlap=banana bw=0 cd=1",
+       false},
+      {"candidate", "tier=full spr=2 algo=direct overlap=2 bw=0 cd=1", false},
+      {"candidate", "tier=full spr=2 algo=direct overlap=1 bw=8.5 cd=1",
+       false},
+      {"candidate", "tier=full spr=2 algo=direct overlap=1 bw=0 cd=", false},
+      {"topology", "two-level:2", true},
+      {"topology", "torus:4x2x1", true},
+      {"topology", "two-level:2x", false},
+      {"topology", "two-level:abc", false},
+      {"topology", "two-level:99999999999", false},
+      {"topology", "torus:2x2", false},
+      {"topology", "torus:2x2x2x1", false},
+      {"topology", "torus:2x2x2 ", false},
+      {"fault_spec", "42:drop:0.25,corrupt:0.5,stall:2:35", true},
+      {"fault_spec", "42x:drop:0.25", false},
+      {"fault_spec", "42:drop:0.25x", false},
+      {"fault_spec", "1.5:drop:0.25", false},
+      {"fault_spec", "-1:drop:0.25", false},
+      {"fault_spec", "42:stall:2x:35", false},
+      {"profile", profile, true},
+      {"profile", with_junk(profile, "mu="), false},
+      {"profile", with_junk(profile, "snr="), false},
+      {"profile", with_junk(profile, "window="), false},
+      {"wisdom", wisdom, true},
+      {"wisdom", with_junk(wisdom, "score="), false},
+      {"wisdom", with_junk(wisdom, "n="), false},
+      {"wisdom", with_junk(wisdom, "spr="), false},
+      {"wisdom", with_junk(wisdom, "stages="), false},
+  };
+  for (const Row& row : rows) {
+    const Reparse& reparse = surfaces.at(row.surface);
+    if (row.valid) {
+      EXPECT_EQ(reparse(row.text), row.text) << row.surface;
+    } else {
+      EXPECT_THROW((void)reparse(row.text), Error)
+          << row.surface << ": '" << row.text << "'";
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <mutex>
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/timer.hpp"
 #include "serve/service.hpp"
 #include "soi/soi.hpp"
@@ -48,23 +50,23 @@ struct Args {
   }
   std::int64_t geti(const std::string& name, std::int64_t dflt) const {
     auto it = kv.find(name);
-    if (it == kv.end()) return dflt;
-    try {
-      return std::stoll(it->second);
-    } catch (const std::exception&) {
-      throw Error("flag '--" + name + "': expected an integer, got '" +
-                  it->second + "'");
-    }
+    return it == kv.end() ? dflt
+                          : parse_int(it->second, "flag '--" + name + "'");
+  }
+  /// geti() for int-typed knobs: a value outside int's range is rejected,
+  /// never truncated.
+  int geti32(const std::string& name, int dflt) const {
+    auto it = kv.find(name);
+    return it == kv.end()
+               ? dflt
+               : static_cast<int>(parse_int(it->second, "flag '--" + name + "'",
+                                            std::numeric_limits<int>::min(),
+                                            std::numeric_limits<int>::max()));
   }
   double getf(const std::string& name, double dflt) const {
     auto it = kv.find(name);
-    if (it == kv.end()) return dflt;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      throw Error("flag '--" + name + "': expected a number, got '" +
-                  it->second + "'");
-    }
+    return it == kv.end() ? dflt
+                          : parse_double(it->second, "flag '--" + name + "'");
   }
 };
 
@@ -74,20 +76,20 @@ const std::map<std::string, std::set<std::string>>& valid_flags() {
       {"design", {"accuracy", "mu", "nu", "eps", "kappa", "help"}},
       {"transform",
        {"n", "p", "accuracy", "mu", "nu", "eps", "kappa", "inverse", "check",
-        "input", "output", "seed", "wisdom", "trace", "engine", "help"}},
+        "input", "output", "seed", "wisdom", "trace", "help"}},
       {"segment",
        {"n", "p", "s", "accuracy", "mu", "nu", "eps", "kappa", "check",
         "input", "output", "seed", "help"}},
       {"bench",
        {"n", "p", "accuracy", "mu", "nu", "eps", "kappa", "reps", "input",
-        "seed", "trace", "engine", "help"}},
+        "seed", "trace", "help"}},
       {"tune",
        {"n", "p", "accuracy", "wisdom", "mode", "reps", "seed", "gflops",
-        "max-spr", "transport", "engine", "help"}},
+        "max-spr", "transport", "help"}},
       {"dist",
        {"n", "p", "accuracy", "wisdom", "check", "seed", "trace",
         "fault-spec", "timeout-ms", "retries", "topology", "coding",
-        "transport", "engine", "help"}},
+        "transport", "help"}},
       {"serve",
        {"n", "p", "accuracy", "lanes", "requests", "concurrency", "queue",
         "rate", "workers", "wire-latency-us", "linger-us", "seed",
@@ -152,16 +154,9 @@ int usage(std::FILE* out) {
       "  --transport  rank fabric (tune/dist/serve): a registered\n"
       "            net::TransportRegistry backend — sim (in-process\n"
       "            threads, default), shm (forked processes over shared\n"
-      "            memory), mpi (builds with -DSOI_WITH_MPI=ON). Default\n"
-      "            from $SOI_TRANSPORT; unknown names are rejected with\n"
-      "            the registered list. serve and measured tune need an\n"
-      "            in-process (threaded) transport\n"
-      "  --engine  FFT executor (transform/bench/tune/dist): a registered\n"
-      "            fft::EngineRegistry backend — batch (SIMD SoA,\n"
-      "            default), scalar (one transform at a time), fftw\n"
-      "            (builds with -DSOI_WITH_FFTW=ON). Default from\n"
-      "            $SOI_FFT_ENGINE; unknown names are rejected with the\n"
-      "            registered list\n"
+      "            memory). Default from $SOI_TRANSPORT; unknown names are\n"
+      "            rejected with the registered list. serve and measured\n"
+      "            tune need an in-process (threaded) transport\n"
       "\n"
       "wisdom: `tune` persists the fastest (profile tier, segments/rank,\n"
       "all-to-all schedule, overlap) per shape; other subcommands reuse it\n"
@@ -222,14 +217,6 @@ win::SoiProfile profile_from(const Args& a) {
 std::string transport_from(const Args& a) {
   const std::string name = a.get("transport", "");
   if (!name.empty()) net::TransportRegistry::instance().caps(name);
-  return name;
-}
-
-/// --engine, strictly validated against fft::EngineRegistry ("" = the
-/// session default: $SOI_FFT_ENGINE, else "batch").
-std::string engine_from(const Args& a) {
-  const std::string name = a.get("engine", "");
-  if (!name.empty()) fft::EngineRegistry::instance().info(name);
   return name;
 }
 
@@ -331,22 +318,19 @@ int cmd_design(const Args& a) {
 
 int cmd_transform(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 16);
-  const std::int64_t p = a.geti("p", 8);
+  const std::int64_t p = a.geti32("p", 8);
   win::SoiProfile prof;
   std::int64_t segments = p;
-  std::string engine = engine_from(a);
   if (const auto tuned = wisdom_lookup(a, key_from(a, n, p))) {
     // Serial execution maps the tuned (ranks, segments/rank) granularity
     // onto P = ranks * spr total segments and reuses the tuned profile.
-    // An explicit --engine overrides the wisdom line's engine pin.
     prof = tuned->profile;
     segments = p * tuned->candidate.segments_per_rank;
-    if (engine.empty()) engine = tuned->candidate.engine;
   } else {
     prof = profile_from(a);
   }
   const auto plan =
-      tune::PlanRegistry::global().serial_plan(n, segments, prof, engine);
+      tune::PlanRegistry::global().serial_plan(n, segments, prof);
   const cvec x = load_or_generate(a, n);
   cvec y(x.size());
   Timer t;
@@ -379,7 +363,7 @@ int cmd_transform(const Args& a) {
 
 int cmd_segment(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 18);
-  const std::int64_t p = a.geti("p", 64);
+  const std::int64_t p = a.geti32("p", 64);
   const std::int64_t s = a.geti("s", 0);
   const win::SoiProfile prof = profile_from(a);
   core::SegmentPlan plan(n, p, prof);
@@ -406,10 +390,10 @@ int cmd_segment(const Args& a) {
 
 int cmd_bench(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 18);
-  const std::int64_t p = a.geti("p", 8);
-  const int reps = static_cast<int>(a.geti("reps", 5));
+  const std::int64_t p = a.geti32("p", 8);
+  const int reps = a.geti32("reps", 5);
   const win::SoiProfile prof = profile_from(a);
-  core::SoiFftSerial soi(n, p, prof, engine_from(a));
+  core::SoiFftSerial soi(n, p, prof);
   fft::FftPlan exact(n);
   const cvec x = load_or_generate(a, n);
   cvec y(x.size());
@@ -439,7 +423,7 @@ int cmd_bench(const Args& a) {
 
 int cmd_tune(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 16);
-  const std::int64_t p = a.geti("p", 4);
+  const std::int64_t p = a.geti32("p", 4);
   const tune::TuneKey key = key_from(a, n, p);
 
   tune::TuneOptions opts;
@@ -451,12 +435,11 @@ int cmd_tune(const Args& a) {
   } else {
     throw Error("unknown --mode '" + mode + "' (modeled|measured)");
   }
-  opts.reps = static_cast<int>(a.geti("reps", 3));
+  opts.reps = a.geti32("reps", 3);
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 1));
   opts.node_gflops = a.getf("gflops", 4.0);
   opts.max_segments_per_rank = a.geti("max-spr", 8);
   opts.transport = transport_from(a);
-  opts.engine = engine_from(a);
 
   std::printf("tuning [%s], mode=%s\n", key.str().c_str(), mode.c_str());
   const Timer t;
@@ -487,7 +470,7 @@ int cmd_tune(const Args& a) {
 
 int cmd_dist(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 16);
-  const int ranks = static_cast<int>(a.geti("p", 4));
+  const int ranks = a.geti32("p", 4);
   const tune::TuneKey key = key_from(a, n, ranks);
 
   tune::Candidate cand;  // seed defaults: spr=1, pairwise, no overlap
@@ -499,22 +482,19 @@ int cmd_dist(const Args& a) {
   } else {
     prof = profile_from(a);
   }
-  // Explicit flags override the wisdom line's backend pins; the resolved
-  // names (wisdom pins included — they may come from a foreign build) are
-  // validated against the registries before any ranks launch.
+  // An explicit --transport overrides the wisdom line's transport pin; the
+  // resolved name (a wisdom pin may come from a foreign build) is
+  // validated against the registry before any ranks launch.
   std::string transport = transport_from(a);
   if (transport.empty()) transport = cand.transport;
   if (!transport.empty()) net::TransportRegistry::instance().caps(transport);
-  std::string engine = engine_from(a);
-  if (engine.empty()) engine = cand.engine;
-  if (!engine.empty()) fft::EngineRegistry::instance().info(engine);
 
   // Resilience knobs: --fault-spec is strictly validated (a malformed
   // spec is rejected with a precise message before any ranks launch).
   net::NetOptions nopts;
   nopts.faults = net::FaultSpec::parse(a.get("fault-spec", ""));
   nopts.timeout_ms = a.getf("timeout-ms", 0.0);
-  nopts.max_retries = static_cast<int>(a.geti("retries", 8));
+  nopts.max_retries = a.geti32("retries", 8);
   SOI_CHECK(nopts.timeout_ms >= 0, "--timeout-ms must be >= 0");
   SOI_CHECK(nopts.max_retries >= 0, "--retries must be >= 0");
 
@@ -547,7 +527,6 @@ int cmd_dist(const Args& a) {
     dopts.overlap = cand.overlap;
     dopts.batch_width = cand.batch_width;
     dopts.chunk_depth = cand.chunk_depth;
-    dopts.engine = engine;
     // --topology overrides the wisdom candidate's topo= knob (explicit
     // flag wins over tuned default; "flat" forces the flat schedule).
     dopts.topology = a.get("topology", cand.topology);
@@ -626,27 +605,26 @@ int cmd_dist(const Args& a) {
   });
   const double sec = t.seconds();
   std::printf("distributed SOI transform: N=%lld ranks=%d (%s) over "
-              "transport=%s engine=%s in %.3f ms\n",
+              "transport=%s in %.3f ms\n",
               static_cast<long long>(n), ranks, cand.describe().c_str(),
               (transport.empty() ? net::default_transport() : transport)
                   .c_str(),
-              (engine.empty() ? fft::default_engine() : engine).c_str(),
               sec * 1e3);
   return 0;
 }
 
 int cmd_serve(const Args& a) {
   const std::int64_t n = a.geti("n", 1 << 13);
-  const int ranks = static_cast<int>(a.geti("p", 4));
-  const int lanes = static_cast<int>(a.geti("lanes", 2));
-  const int requests = static_cast<int>(a.geti("requests", 64));
+  const int ranks = a.geti32("p", 4);
+  const int lanes = a.geti32("lanes", 2);
+  const int requests = a.geti32("requests", 64);
   SOI_CHECK(lanes >= 1 && lanes <= serve::kMaxLanes,
             "--lanes must be in [1, " << serve::kMaxLanes << "]");
   SOI_CHECK(requests >= 1, "--requests must be >= 1");
 
   // Per-request scheduling knobs, strictly validated before any setup:
   // an unknown tier is rejected listing the valid ones (same style as
-  // --transport / --engine).
+  // --transport).
   serve::SubmitOptions sopt;
   sopt.priority = serve::priority_from_name(a.get("priority", "batch"));
   sopt.deadline_ms = a.getf("deadline-ms", 0.0);
@@ -655,9 +633,9 @@ int cmd_serve(const Args& a) {
   serve::ServeOptions so;
   so.ranks = ranks;
   so.transport = transport_from(a);
-  so.workers = static_cast<int>(a.geti("workers", 1));
-  so.max_concurrency = static_cast<int>(a.geti("concurrency", 4));
-  so.queue_capacity = static_cast<int>(a.geti("queue", 64));
+  so.workers = a.geti32("workers", 1);
+  so.max_concurrency = a.geti32("concurrency", 4);
+  so.queue_capacity = a.geti32("queue", 64);
   so.wire_latency_us = a.getf("wire-latency-us", 0.0);
   so.batch_linger_us = a.getf("linger-us", 0.0);
   // Erasure-code the rank team's exchange; same strict grammar as dist.
